@@ -16,7 +16,7 @@
 //! the static scheme's. Everything is deterministic — output is
 //! byte-identical for every thread count and any store state.
 
-use crate::json::Json;
+use selcache_core::json::Json;
 use selcache_core::{
     AssistKind, Benchmark, ControllerConfig, EngineStats, JobEngine, MachineConfig, Scale, SimJob,
     Version,

@@ -41,8 +41,8 @@
 //! time), so controller overhead in the simulator hot path is tracked by
 //! the same regression gate.
 
-use selcache_bench::json::Json;
 use selcache_bench::ops_per_sec;
+use selcache_core::json::Json;
 use selcache_core::{
     AssistKind, Benchmark, ControllerConfig, JobEngine, MachineConfig, Scale, SimJob, SimMode,
     SimResult, Store, SweepAxis, SweepMode, SweepSpec, Version,

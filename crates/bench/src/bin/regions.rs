@@ -11,8 +11,8 @@
 //! With `--dynamic` the runs attach the online assist controller, and the
 //! JSON adds a per-benchmark policy summary: total switch count plus each
 //! region's final {off, bypass, victim} decision.
-use selcache_bench::json::Json;
 use selcache_bench::{Cli, OutputFormat};
+use selcache_core::json::Json;
 use selcache_core::{
     format_region_report, ControllerConfig, MachineConfig, SimJob, SimResult, Version,
 };

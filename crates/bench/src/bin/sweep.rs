@@ -15,8 +15,8 @@
 //! On top of the shared flags this binary accepts `--benchmark <name>`,
 //! and `--format text|json|csv` (JSON includes the analytical-vs-exact
 //! error fields; CSV matches `Sweep::to_csv`).
-use selcache_bench::json::Json;
 use selcache_bench::{engine_stats_json, parse_benchmark, Cli, OutputFormat, USAGE};
+use selcache_core::json::Json;
 use selcache_core::{Benchmark, PointData, Sweep, SweepAxis, SweepMode, SweepSpec};
 
 /// Sweep-specific usage, printed after the shared [`USAGE`] line.

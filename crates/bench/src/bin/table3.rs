@@ -7,8 +7,8 @@
 //! `--format json` emits `{"rows": [...], "engine": {...}}` (engine
 //! counters include store hits/misses when `--store` is set);
 //! `--format csv` emits the rows via `table3_csv`.
-use selcache_bench::json::Json;
 use selcache_bench::{engine_stats_json, Cli, OutputFormat};
+use selcache_core::json::Json;
 use selcache_core::{
     format_table3, table3_csv, table3_rows_with_stats_in_mode, ConfigVariant, Table3Row,
 };

@@ -35,10 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod adapt;
-pub mod json;
 #[cfg(unix)]
 pub mod service;
 
+use selcache_core::json::Json;
 use selcache_core::{
     AssistKind, Benchmark, ConfigVariant, JobEngine, Scale, SimMode, Store, SuiteResult,
 };
@@ -293,8 +293,7 @@ impl Cli {
 /// Renders [`EngineStats`](selcache_core::EngineStats) as the JSON object
 /// the `table3`/`sweep` binaries and the `selcached` protocol all embed
 /// (dedup plus store hit/miss accounting).
-pub fn engine_stats_json(stats: &selcache_core::EngineStats) -> json::Json {
-    use json::Json;
+pub fn engine_stats_json(stats: &selcache_core::EngineStats) -> Json {
     Json::obj([
         ("submitted", Json::UInt(stats.submitted as u64)),
         ("executed", Json::UInt(stats.executed as u64)),

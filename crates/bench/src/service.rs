@@ -58,8 +58,8 @@
 //! finish, sockets drain, and [`Server::run`] returns after removing the
 //! socket file. The `shutdown` op does the same from the wire.
 use crate::engine_stats_json;
-use crate::json::Json;
 use crate::parse_benchmark;
+use selcache_core::json::Json;
 use selcache_core::{
     AssistKind, ConfigVariant, ControllerConfig, EngineStats, JobEngine, Scale, SimJob, SimMode,
     SimResult, Version,

@@ -3,8 +3,8 @@
 //! dedup through the shared store, and graceful shutdown.
 #![cfg(unix)]
 
-use selcache_bench::json::Json;
 use selcache_bench::service::{self, Server};
+use selcache_core::json::Json;
 use selcache_core::{JobEngine, Store};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

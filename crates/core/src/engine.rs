@@ -42,10 +42,12 @@
 use crate::config::MachineConfig;
 use crate::executor::Executor;
 use crate::identity::{Canon, CanonWriter, JobId};
-use crate::runner::{default_opt, simulate, simulate_profiled, SimResult, Version};
+use crate::runner::{default_opt, simulate, SimResult, Version};
 use crate::sampled::{simulate_sampled, SimMode};
 use crate::store::Store;
-use selcache_compiler::{optimize, region_partition, selective, selective_for, OptConfig};
+use selcache_compiler::{
+    optimize, region_partition, selective, selective_for, AssistPolicy, OptConfig,
+};
 use selcache_ir::Program;
 use selcache_mem::{AssistKind, ControllerConfig};
 use selcache_workloads::{Benchmark, Scale};
@@ -132,30 +134,59 @@ impl SimJob {
     }
 }
 
-/// How a version's code is prepared (Section 4.4's software flow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PrepKind {
-    /// Unmodified source (`Base`, `PureHardware`).
+/// How a version's code is prepared (Section 4.4's software flow), with
+/// the compiler configuration the preparation reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum PrepKind {
+    /// Unmodified source (`Base`, `PureHardware`). Raw code does not depend
+    /// on the compiler configuration, so raw jobs unify across configs.
     Raw,
     /// Locality-optimized (`PureSoftware`, `Combined`).
-    Optimized,
+    Optimized(OptConfig),
     /// Locality-optimized plus ON/OFF markers (`Selective`).
-    Selective,
+    Selective(OptConfig),
     /// Locality-optimized with every region marked ON for the run-time
     /// controller (`Selective` on a machine with a
     /// [`ControllerConfig`] attached).
-    Dynamic,
+    Dynamic(OptConfig),
 }
 
-impl Version {
-    fn prep_kind(self) -> PrepKind {
-        match self {
+impl PrepKind {
+    /// The version-to-preparation rule. `dynamic` says whether the machine
+    /// has a controller attached: the hardware then picks the assist per
+    /// region, so `Selective` marks every region ON instead of applying
+    /// the paper's irregular-regions rule.
+    pub(crate) fn of(version: Version, opt: &OptConfig, dynamic: bool) -> PrepKind {
+        match version {
             Version::Base | Version::PureHardware => PrepKind::Raw,
-            Version::PureSoftware | Version::Combined => PrepKind::Optimized,
-            Version::Selective => PrepKind::Selective,
+            Version::PureSoftware | Version::Combined => PrepKind::Optimized(*opt),
+            Version::Selective if dynamic => PrepKind::Dynamic(*opt),
+            Version::Selective => PrepKind::Selective(*opt),
         }
     }
 
+    /// Prepares `program` this way.
+    pub(crate) fn apply(&self, program: &Program) -> Program {
+        match self {
+            PrepKind::Raw => program.clone(),
+            PrepKind::Optimized(opt) => optimize(program, opt),
+            PrepKind::Selective(opt) => selective(program, opt),
+            PrepKind::Dynamic(opt) => selective_for(program, opt, AssistPolicy::Dynamic),
+        }
+    }
+
+    /// The canonical tag byte and the compiler configuration, if any.
+    fn parts(&self) -> (u8, Option<&OptConfig>) {
+        match self {
+            PrepKind::Raw => (0, None),
+            PrepKind::Optimized(opt) => (1, Some(opt)),
+            PrepKind::Selective(opt) => (2, Some(opt)),
+            PrepKind::Dynamic(opt) => (3, Some(opt)),
+        }
+    }
+}
+
+impl Version {
     /// The assist actually attached to the hierarchy for this version under
     /// `assist`-study experiments.
     pub(crate) fn effective_assist(self, assist: AssistKind) -> AssistKind {
@@ -173,46 +204,59 @@ impl Version {
     }
 }
 
-/// Identity of a prepared program: the source, the preparation, and (for
-/// compiler-prepared versions only) the compiler configuration.
+/// Identity of a prepared program: the source and its preparation.
 #[derive(Debug, Clone, PartialEq)]
-struct ProgramKey {
+pub(crate) struct ProgramKey {
     benchmark: Benchmark,
     scale: Scale,
     prep: PrepKind,
-    /// `None` for [`PrepKind::Raw`] — raw code does not depend on the
-    /// compiler configuration, so raw jobs unify across opt configs.
-    opt: Option<OptConfig>,
 }
 
 impl ProgramKey {
     fn of(job: &SimJob) -> ProgramKey {
-        let mut prep = job.version.prep_kind();
-        if prep == PrepKind::Selective && job.machine.mem.controller.is_some() {
-            prep = PrepKind::Dynamic;
-        }
         ProgramKey {
             benchmark: job.benchmark,
             scale: job.scale,
-            prep,
-            opt: match prep {
-                PrepKind::Raw => None,
-                _ => Some(job.opt),
-            },
+            prep: PrepKind::of(job.version, &job.opt, job.machine.mem.controller.is_some()),
         }
     }
 
     fn build(&self) -> Program {
-        let base = self.benchmark.build(self.scale);
-        match (self.prep, &self.opt) {
-            (PrepKind::Raw, _) => base,
-            (PrepKind::Optimized, Some(opt)) => optimize(&base, opt),
-            (PrepKind::Selective, Some(opt)) => selective(&base, opt),
-            (PrepKind::Dynamic, Some(opt)) => {
-                selective_for(&base, opt, selcache_compiler::AssistPolicy::Dynamic)
-            }
-            _ => unreachable!("compiler-prepared key without an opt config"),
-        }
+        self.prep.apply(&self.benchmark.build(self.scale))
+    }
+
+    /// The region-partition threshold runs of this program attribute
+    /// with: the compiler configuration's for prepared code, the default
+    /// for raw code (raw jobs share one [`JobId`] across configurations).
+    fn threshold(&self) -> f64 {
+        self.prep.parts().1.map_or(OptConfig::default().threshold, |opt| opt.threshold)
+    }
+
+    /// Process-wide selection-cache key for a sampled run: a stable hash of
+    /// the prepared-program identity plus the interval geometry. Everything
+    /// that executes the same prepared program with the same interval size
+    /// and representative budget shares one profile pass and one checkpoint
+    /// set — warmup length is deliberately excluded (it only affects pass
+    /// 2).
+    fn selection_key(&self, interval_ops: u64, max_intervals: usize) -> u128 {
+        let mut w = CanonWriter::new();
+        // Domain-separate from job ids so a selection key can never alias a
+        // store address.
+        w.str("selection-key");
+        self.canon(&mut w);
+        w.u64(interval_ops);
+        w.usize(max_intervals);
+        JobId::of_bytes(&w.finish()).as_u128()
+    }
+}
+
+impl Canon for ProgramKey {
+    fn canon(&self, w: &mut CanonWriter) {
+        self.benchmark.canon(w);
+        self.scale.canon(w);
+        let (tag, opt) = self.prep.parts();
+        w.u8(tag);
+        w.opt(&opt.copied());
     }
 }
 
@@ -246,16 +290,7 @@ impl ExecKey {
     /// to a store miss instead of a wrong result.
     fn canonical_bytes(&self) -> Vec<u8> {
         let mut w = CanonWriter::new();
-        // ProgramKey, in declaration order.
-        self.program.benchmark.canon(&mut w);
-        self.program.scale.canon(&mut w);
-        w.u8(match self.program.prep {
-            PrepKind::Raw => 0,
-            PrepKind::Optimized => 1,
-            PrepKind::Selective => 2,
-            PrepKind::Dynamic => 3,
-        });
-        w.opt(&self.program.opt);
+        self.program.canon(&mut w);
         // MachineConfig: cpu, mem, and the name (its `PartialEq` compares
         // the name too, and the old structural dedup inherited that).
         self.machine.cpu.canon(&mut w);
@@ -278,53 +313,54 @@ impl ExecKey {
     }
 }
 
-/// Process-wide selection-cache key for a sampled run: a stable hash of
-/// the prepared-program identity plus the interval geometry. Everything
-/// that executes the same prepared program with the same interval size and
-/// representative budget shares one profile pass and one checkpoint set —
-/// warmup length is deliberately excluded (it only affects pass 2).
-pub(crate) fn selection_key(
-    benchmark: Benchmark,
-    scale: Scale,
-    version: Version,
-    opt: &OptConfig,
-    dynamic: bool,
-    interval_ops: u64,
-    max_intervals: usize,
-) -> u128 {
-    let mut prep = version.prep_kind();
-    if dynamic && prep == PrepKind::Selective {
-        prep = PrepKind::Dynamic;
+/// Simulates one prepared program: the one place that decides how a run
+/// goes, for the [`JobEngine`] and [`Experiment::run_program`] alike.
+///
+/// - A sampled run never carries regions: attribution needs every op
+///   through the detailed pipeline.
+/// - An exact run attaches the region partition at `threshold` when
+///   `profiled`, and always on a machine with a controller attached: the
+///   controller's per-region decisions need region identities, so a
+///   controller run without them would be a different simulation. Callers
+///   drop the regions of runs that did not ask for them.
+/// - Any other exact run takes the plain [`NullProbe`] path.
+///
+/// [`NullProbe`]: selcache_mem::NullProbe
+///
+/// `program_key` names the prepared program for the process-wide
+/// selection cache; ad-hoc programs pass `None` and profile afresh.
+///
+/// [`Experiment::run_program`]: crate::Experiment::run_program
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_job(
+    machine: &MachineConfig,
+    assist: AssistKind,
+    assist_enabled: bool,
+    program: &Program,
+    mode: SimMode,
+    profiled: bool,
+    threshold: f64,
+    program_key: Option<&ProgramKey>,
+    executor: &Executor,
+) -> SimResult {
+    match mode {
+        SimMode::Sampled { interval_ops, max_intervals, warmup } => simulate_sampled(
+            machine,
+            assist,
+            assist_enabled,
+            program,
+            interval_ops,
+            max_intervals,
+            warmup,
+            program_key.map(|key| key.selection_key(interval_ops, max_intervals)),
+            executor,
+        ),
+        SimMode::Exact if profiled || machine.mem.controller.is_some() => {
+            let map = region_partition(program, threshold);
+            simulate(machine, assist, assist_enabled, program, Some(&map))
+        }
+        SimMode::Exact => simulate(machine, assist, assist_enabled, program, None),
     }
-    let program = ProgramKey {
-        benchmark,
-        scale,
-        prep,
-        opt: match prep {
-            PrepKind::Raw => None,
-            _ => Some(*opt),
-        },
-    };
-    selection_key_of(&program, interval_ops, max_intervals)
-}
-
-fn selection_key_of(program: &ProgramKey, interval_ops: u64, max_intervals: usize) -> u128 {
-    let mut w = CanonWriter::new();
-    // Domain-separate from job ids so a selection key can never alias a
-    // store address.
-    w.str("selection-key");
-    program.benchmark.canon(&mut w);
-    program.scale.canon(&mut w);
-    w.u8(match program.prep {
-        PrepKind::Raw => 0,
-        PrepKind::Optimized => 1,
-        PrepKind::Selective => 2,
-        PrepKind::Dynamic => 3,
-    });
-    w.opt(&program.opt);
-    w.u64(interval_ops);
-    w.usize(max_intervals);
-    JobId::of_bytes(&w.finish()).as_u128()
 }
 
 /// A normalized job set: the dedup work [`JobEngine`] does before any
@@ -589,41 +625,18 @@ impl JobEngine {
         // fan-out leases from the same budget as the job-level fan-out.
         let simulated = self.executor.map(&needed, |&k| {
             let key = &unique[k];
-            let program = programs[prog_of[k]].as_ref().expect("prepared above");
             let start = Instant::now();
-            let result = match key.mode {
-                SimMode::Sampled { interval_ops, max_intervals, warmup } => {
-                    let skey = selection_key_of(&key.program, interval_ops, max_intervals);
-                    simulate_sampled(
-                        &key.machine,
-                        key.assist,
-                        key.assist_enabled,
-                        program,
-                        interval_ops,
-                        max_intervals,
-                        warmup,
-                        Some(skey),
-                        &self.executor,
-                    )
-                }
-                // Dynamic (controller-attached) jobs always run with the
-                // region partition attached, profiled or not: the
-                // controller's per-region decisions need region identities,
-                // so a dynamic run without regions would be a *different*
-                // simulation. Non-profiled callers get the regions stripped
-                // after the store write below.
-                SimMode::Exact if profiled || key.machine.mem.controller.is_some() => {
-                    let threshold = key
-                        .program
-                        .opt
-                        .as_ref()
-                        .map(|o| o.threshold)
-                        .unwrap_or_else(|| OptConfig::default().threshold);
-                    let map = region_partition(program, threshold);
-                    simulate_profiled(&key.machine, key.assist, key.assist_enabled, program, &map)
-                }
-                SimMode::Exact => simulate(&key.machine, key.assist, key.assist_enabled, program),
-            };
+            let result = simulate_job(
+                &key.machine,
+                key.assist,
+                key.assist_enabled,
+                programs[prog_of[k]].as_ref().expect("prepared above"),
+                key.mode,
+                profiled,
+                key.program.threshold(),
+                Some(&key.program),
+                &self.executor,
+            );
             (result, start.elapsed().as_secs_f64() * 1e3)
         });
 

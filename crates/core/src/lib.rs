@@ -12,8 +12,7 @@
 //! [`ExperimentBuilder`] is the primary entry point: every knob defaults
 //! sensibly (base machine, no assist, compiler config derived from the
 //! machine's L1, all available cores), so callers state only what they
-//! vary. [`Experiment::new`] and [`Experiment::with_opt`] remain as
-//! shorthands on top of it.
+//! vary. [`Experiment::new`] remains as a shorthand on top of it.
 //!
 //! ```
 //! use selcache_core::{ExperimentBuilder, MachineConfig, Version};

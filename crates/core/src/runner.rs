@@ -3,11 +3,11 @@
 //! processor + memory-hierarchy simulator.
 
 use crate::config::MachineConfig;
-use crate::engine::{selection_key, JobEngine};
+use crate::engine::{simulate_job, JobEngine, PrepKind, SimJob};
 use crate::executor::Executor;
 use crate::profile::{RegionProfile, RegionProfileProbe};
-use crate::sampled::{simulate_sampled, SampledInfo, SimMode};
-use selcache_compiler::{optimize, region_partition, selective, selective_for, OptConfig};
+use crate::sampled::{SampledInfo, SimMode};
+use selcache_compiler::OptConfig;
 use selcache_cpu::{CpuStats, Pipeline};
 use selcache_ir::{Interp, Program, RegionMap};
 use selcache_mem::{AssistKind, ControllerConfig, HierarchyStats, MemoryHierarchy};
@@ -62,7 +62,7 @@ pub struct SimResult {
     pub cpu: CpuStats,
     /// Memory-hierarchy statistics.
     pub mem: HierarchyStats,
-    /// Per-region attribution, present when the run was profiled
+    /// Per-region attribution, present when an exact run was profiled
     /// ([`Experiment::run_profiled`], [`JobEngine::run_profiled`]).
     pub regions: Option<RegionProfile>,
     /// Sampling coverage, present when the run used [`SimMode::Sampled`]
@@ -70,8 +70,9 @@ pub struct SimResult {
     /// representative intervals; `instructions` stays exact).
     pub sampled: Option<SampledInfo>,
     /// The stable execution-identity hash of the job that produced this
-    /// result. Populated by the [`JobEngine`] (which uses it as its dedup
-    /// key and store address); `None` for direct [`Experiment`] runs.
+    /// result: the [`JobEngine`]'s dedup key and store address. `None` only
+    /// for [`Experiment::run_program`], whose ad-hoc programs carry no
+    /// identity.
     pub job_id: Option<crate::identity::JobId>,
 }
 
@@ -105,56 +106,48 @@ pub(crate) fn default_opt(machine: &MachineConfig) -> OptConfig {
     opt
 }
 
-/// Runs one prepared program on one machine — the single simulation
-/// primitive both [`Experiment::run_program`] and the
-/// [`JobEngine`](crate::JobEngine) bottom out in.
+/// A fresh memory hierarchy for one run: `machine`'s memory system with
+/// `assist` attached and the assist flag starting at `assist_enabled`.
+pub(crate) fn hierarchy(
+    machine: &MachineConfig,
+    assist: AssistKind,
+    assist_enabled: bool,
+) -> MemoryHierarchy {
+    let mut cfg = machine.mem.clone();
+    cfg.assist = assist;
+    let mut mem = MemoryHierarchy::new(cfg);
+    mem.set_assist_enabled(assist_enabled);
+    mem
+}
+
+/// Runs one prepared program exactly on one machine. With `regions`, a
+/// [`RegionProfileProbe`] attributes every event to its region (aggregate
+/// counters are unchanged); without, the run takes the plain
+/// [`Pipeline::run`] path.
 pub(crate) fn simulate(
     machine: &MachineConfig,
     assist: AssistKind,
     assist_enabled: bool,
     program: &Program,
+    regions: Option<&RegionMap>,
 ) -> SimResult {
-    let mut hier_cfg = machine.mem.clone();
-    hier_cfg.assist = assist;
-    let mut mem = MemoryHierarchy::new(hier_cfg);
-    mem.set_assist_enabled(assist_enabled);
-    let stats = Pipeline::new(machine.cpu).run(Interp::new(program), &mut mem);
+    let mut mem = hierarchy(machine, assist, assist_enabled);
+    let mut pipeline = Pipeline::new(machine.cpu);
+    let (stats, regions) = match regions {
+        Some(map) => {
+            let mut probe = RegionProfileProbe::new(map);
+            let stats =
+                pipeline.run_probed(Interp::with_regions(program, map), &mut mem, &mut probe);
+            (stats, Some(probe.finish()))
+        }
+        None => (pipeline.run(Interp::new(program), &mut mem), None),
+    };
     SimResult {
         cycles: stats.cycles,
         instructions: stats.committed,
         cpu: stats,
         mem: mem.stats(),
-        regions: None,
-        sampled: None,
-        job_id: None,
-    }
-}
-
-/// [`simulate`] with a [`RegionProfileProbe`] attached: identical aggregate
-/// counters, plus per-region attribution over `regions`.
-pub(crate) fn simulate_profiled(
-    machine: &MachineConfig,
-    assist: AssistKind,
-    assist_enabled: bool,
-    program: &Program,
-    regions: &RegionMap,
-) -> SimResult {
-    let mut hier_cfg = machine.mem.clone();
-    hier_cfg.assist = assist;
-    let mut mem = MemoryHierarchy::new(hier_cfg);
-    mem.set_assist_enabled(assist_enabled);
-    let mut probe = RegionProfileProbe::new(regions);
-    let stats = Pipeline::new(machine.cpu).run_probed(
-        Interp::with_regions(program, regions),
-        &mut mem,
-        &mut probe,
-    );
-    SimResult {
-        cycles: stats.cycles,
-        instructions: stats.committed,
-        cpu: stats,
-        mem: mem.stats(),
-        regions: Some(probe.finish()),
+        regions,
         sampled: None,
         job_id: None,
     }
@@ -260,8 +253,8 @@ impl ExperimentBuilder {
 /// An experiment: a machine configuration plus the hardware assist under
 /// study.
 ///
-/// Construct one with [`ExperimentBuilder`] (or the [`Experiment::new`] /
-/// [`Experiment::with_opt`] shorthands).
+/// Construct one with [`ExperimentBuilder`] (or the [`Experiment::new`]
+/// shorthand).
 ///
 /// ```
 /// use selcache_core::{Experiment, MachineConfig, Version};
@@ -289,11 +282,6 @@ impl Experiment {
         ExperimentBuilder::new().machine(machine).assist(assist).build()
     }
 
-    /// Creates an experiment with an explicit compiler configuration.
-    pub fn with_opt(machine: MachineConfig, assist: AssistKind, opt: OptConfig) -> Self {
-        ExperimentBuilder::new().machine(machine).assist(assist).opt(opt).build()
-    }
-
     /// The machine under test.
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
@@ -319,9 +307,10 @@ impl Experiment {
         self.mode
     }
 
-    /// A [`JobEngine`] sharing this experiment's thread budget: jobs run
-    /// through the engine and sampled intervals run through
-    /// [`Experiment::run`] lease workers from one pool.
+    /// A [`JobEngine`] on this experiment's thread budget, without a
+    /// store: [`Experiment::run`] and [`Experiment::run_profiled`] submit
+    /// their job to it, and any other engine built here leases workers
+    /// from the same pool.
     pub fn engine(&self) -> JobEngine {
         JobEngine::with_executor(self.executor.clone())
     }
@@ -329,91 +318,60 @@ impl Experiment {
     /// Prepares the program a version executes (Section 4.4's software
     /// development flow).
     pub fn prepare(&self, program: &Program, version: Version) -> Program {
-        match version {
-            Version::Base | Version::PureHardware => program.clone(),
-            Version::PureSoftware | Version::Combined => optimize(program, &self.opt),
-            // Under a controller every region is marked ON (the hardware
-            // decides); statically, the paper's irregular-regions rule.
-            Version::Selective if self.machine.mem.controller.is_some() => {
-                selective_for(program, &self.opt, selcache_compiler::AssistPolicy::Dynamic)
-            }
-            Version::Selective => selective(program, &self.opt),
-        }
+        PrepKind::of(version, &self.opt, self.machine.mem.controller.is_some()).apply(program)
     }
 
-    /// Runs a prepared program under the experiment's [`SimMode`]. Ad-hoc
-    /// programs carry no stable identity, so sampled runs through this
-    /// entry point profile the trace afresh each call; [`Experiment::run`]
-    /// and the [`JobEngine`] share profile passes process-wide.
+    /// Runs a prepared program under the experiment's [`SimMode`], by the
+    /// same rules as a plain [`Experiment::run`]. Ad-hoc programs carry no
+    /// stable identity, so the result has no `job_id` and sampled runs
+    /// profile the trace afresh each call; [`Experiment::run`] and the
+    /// [`JobEngine`] share profile passes process-wide.
     pub fn run_program(&self, program: &Program, version: Version) -> SimResult {
-        self.dispatch(program, version, None)
-    }
-
-    /// Builds, prepares, and runs a benchmark under a version.
-    pub fn run(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
-        let base = benchmark.build(scale);
-        let prepared = self.prepare(&base, version);
-        let key = match self.mode {
-            SimMode::Exact => None,
-            SimMode::Sampled { interval_ops, max_intervals, .. } => Some(selection_key(
-                benchmark,
-                scale,
-                version,
-                &self.opt,
-                self.machine.mem.controller.is_some(),
-                interval_ops,
-                max_intervals,
-            )),
-        };
-        self.dispatch(&prepared, version, key)
-    }
-
-    fn dispatch(&self, program: &Program, version: Version, key: Option<u128>) -> SimResult {
-        let assist = version.effective_assist(self.assist);
-        let enabled = version.initially_enabled();
-        match self.mode {
-            // Controller-attached exact runs always simulate with the
-            // region partition: the controller's per-region decisions need
-            // region identities. The profile itself is dropped — plain runs
-            // stay region-less, exactly like the engine's plain path.
-            SimMode::Exact if self.machine.mem.controller.is_some() => {
-                let map = region_partition(program, self.opt.threshold);
-                let mut r = simulate_profiled(&self.machine, assist, enabled, program, &map);
-                r.regions = None;
-                r
-            }
-            SimMode::Exact => simulate(&self.machine, assist, enabled, program),
-            SimMode::Sampled { interval_ops, max_intervals, warmup } => simulate_sampled(
-                &self.machine,
-                assist,
-                enabled,
-                program,
-                interval_ops,
-                max_intervals,
-                warmup,
-                key,
-                &self.executor,
-            ),
-        }
-    }
-
-    /// [`Experiment::run`] with region profiling: partitions the prepared
-    /// program with the experiment's threshold and attributes every cycle,
-    /// commit, cache access, and assist event to its region. The result's
-    /// `regions` field is populated; aggregate counters are unchanged.
-    /// Profiled runs are always exact — attribution needs every op through
-    /// the detailed pipeline, so [`SimMode::Sampled`] does not apply here.
-    pub fn run_profiled(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
-        let base = benchmark.build(scale);
-        let prepared = self.prepare(&base, version);
-        let map = region_partition(&prepared, self.opt.threshold);
-        simulate_profiled(
+        let mut result = simulate_job(
             &self.machine,
             version.effective_assist(self.assist),
             version.initially_enabled(),
-            &prepared,
-            &map,
-        )
+            program,
+            self.mode,
+            false,
+            self.opt.threshold,
+            None,
+            &self.executor,
+        );
+        result.regions = None;
+        result
+    }
+
+    /// The job this experiment runs for one benchmark version.
+    fn job(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimJob {
+        SimJob {
+            benchmark,
+            scale,
+            machine: self.machine.clone(),
+            assist: self.assist,
+            version,
+            opt: self.opt,
+            mode: self.mode,
+        }
+    }
+
+    /// Builds, prepares, and runs a benchmark under a version: one
+    /// [`SimJob`] through [`Experiment::engine`].
+    pub fn run(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
+        self.engine().run(&[self.job(benchmark, scale, version)]).remove(0)
+    }
+
+    /// [`Experiment::run`] with region profiling, through
+    /// [`JobEngine::run_profiled`]: every cycle, commit, cache access, and
+    /// assist event is attributed to its region, and aggregate counters are
+    /// unchanged. Regions are cut at the compiler configuration's
+    /// threshold, and at the default threshold for raw code (`Base`,
+    /// `PureHardware`), whose jobs share one id across configurations. The
+    /// job always runs exact, whatever the experiment's [`SimMode`]:
+    /// attribution needs every op through the detailed pipeline.
+    pub fn run_profiled(&self, benchmark: Benchmark, scale: Scale, version: Version) -> SimResult {
+        let job = self.job(benchmark, scale, version).with_mode(SimMode::Exact);
+        self.engine().run_profiled(&[job]).remove(0)
     }
 }
 
@@ -488,36 +446,6 @@ mod tests {
         assert_eq!(*e.opt(), derived);
         assert_eq!(e.assist(), AssistKind::Stream);
         assert_eq!(e.engine().threads(), 1);
-    }
-
-    #[test]
-    fn profiled_run_matches_unprofiled_aggregates() {
-        let e = exp(AssistKind::Bypass);
-        let plain = e.run(Benchmark::Li, Scale::Tiny, Version::Selective);
-        let prof = e.run_profiled(Benchmark::Li, Scale::Tiny, Version::Selective);
-        assert_eq!(plain.cycles, prof.cycles, "the probe must not perturb the run");
-        assert_eq!(plain.cpu, prof.cpu);
-        assert_eq!(plain.mem, prof.mem);
-        let total = prof.regions.as_ref().expect("profiled").total();
-        assert_eq!(total.cycles, prof.cycles);
-        assert_eq!(total.committed, prof.instructions);
-        assert_eq!(total.l1d_accesses, prof.mem.l1d.accesses);
-        assert_eq!(total.l1d_misses, prof.mem.l1d.misses);
-    }
-
-    #[test]
-    fn dynamic_experiment_runs_and_profiles_consistently() {
-        let e = ExperimentBuilder::new()
-            .controller(ControllerConfig { interval_accesses: 128, ..ControllerConfig::default() })
-            .threads(1)
-            .build();
-        assert!(e.machine().mem.controller.is_some());
-        let plain = e.run(Benchmark::Li, Scale::Tiny, Version::Selective);
-        assert!(plain.regions.is_none(), "plain dynamic runs stay region-less");
-        let prof = e.run_profiled(Benchmark::Li, Scale::Tiny, Version::Selective);
-        assert_eq!(plain.cycles, prof.cycles, "profiling must not perturb dynamic runs");
-        assert_eq!(plain.mem, prof.mem);
-        assert!(prof.regions.is_some());
     }
 
     #[test]

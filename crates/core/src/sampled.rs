@@ -38,11 +38,11 @@
 
 use crate::config::MachineConfig;
 use crate::executor::Executor;
-use crate::runner::SimResult;
+use crate::runner::{hierarchy, SimResult};
 use selcache_analysis::{select, IntervalConfig, IntervalProfiler, Representative};
 use selcache_cpu::{CpuStats, Pipeline, Predictor};
 use selcache_ir::{Interp, InterpCheckpoint, OpKind, Plan, Program};
-use selcache_mem::{AssistKind, HierarchyStats, MemoryHierarchy};
+use selcache_mem::{AssistKind, HierarchyStats};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -181,13 +181,18 @@ fn profile(program: &Program, plan: &Plan, interval_ops: u64, max_intervals: usi
 /// geometry). Lets the Base/PureHardware pair, assist variants, and sweep
 /// points that execute the same prepared program share one profile pass
 /// and one set of checkpoints.
-fn selection_cache() -> &'static Mutex<HashMap<u128, Arc<Selection>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u128, Arc<Selection>>>> = OnceLock::new();
+fn selection_cache() -> &'static Mutex<HashMap<u128, SelectionCell>> {
+    static CACHE: OnceLock<Mutex<HashMap<u128, SelectionCell>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// One selection key's entry, filled by the first caller's profile pass.
+type SelectionCell = Arc<OnceLock<Arc<Selection>>>;
+
 /// The profile pass for `program`, answered from the process-wide cache
-/// when `key` is provided and already profiled.
+/// when `key` is provided. Each key gets its cell under the lock and is
+/// profiled outside it, so concurrent callers of one key wait for a single
+/// pass instead of each running their own.
 pub(crate) fn selection(
     program: &Program,
     plan: &Plan,
@@ -195,18 +200,11 @@ pub(crate) fn selection(
     max_intervals: usize,
     key: Option<u128>,
 ) -> Arc<Selection> {
-    if let Some(key) = key {
-        if let Some(sel) = selection_cache().lock().expect("selection cache").get(&key) {
-            return Arc::clone(sel);
-        }
-    }
-    let sel = Arc::new(profile(program, plan, interval_ops, max_intervals));
-    if let Some(key) = key {
-        // A concurrent profiler of the same key computed an identical
-        // selection (the pass is deterministic); either insert is fine.
-        selection_cache().lock().expect("selection cache").insert(key, Arc::clone(&sel));
-    }
-    sel
+    let pass = || Arc::new(profile(program, plan, interval_ops, max_intervals));
+    let Some(key) = key else { return pass() };
+    let cell =
+        Arc::clone(selection_cache().lock().expect("selection cache").entry(key).or_default());
+    Arc::clone(cell.get_or_init(pass))
 }
 
 /// Adds `w`-scaled counters of `src` into `dst`, rounding to nearest —
@@ -269,10 +267,7 @@ fn measure_rep(
 
     // Functional warmup: caches, TLB, and predictor see every access
     // of the warmup window, but no timing accumulates.
-    let mut hier_cfg = machine.mem.clone();
-    hier_cfg.assist = assist;
-    let mut mem = MemoryHierarchy::new(hier_cfg);
-    mem.set_assist_enabled(assist_state);
+    let mut mem = hierarchy(machine, assist, assist_state);
     let mut predictor = Predictor::from_config(&machine.cpu);
     let mut last_fetch_block = u64::MAX;
     for _ in 0..start - warm_start {
@@ -304,11 +299,11 @@ fn measure_rep(
     RepMeasure { cpu: stats, mem: mem_delta, rep_len, warm_ops: start - warm_start }
 }
 
-/// Runs one prepared program in sampled mode. The drop-in sampled
-/// counterpart of [`crate::runner::simulate`]: same inputs plus the
-/// sampling parameters, an optional process-wide selection-cache key, and
-/// the executor whose thread budget the per-representative fan-out leases
-/// workers from.
+/// Runs one prepared program in sampled mode. The sampled counterpart of
+/// [`crate::runner::simulate`]: the same machine, assist and program, plus
+/// the sampling parameters, an optional process-wide selection-cache key,
+/// and the executor whose thread budget the per-representative fan-out
+/// leases workers from.
 ///
 /// Each representative (checkpoint restore → functional warmup → detailed
 /// interval) is fully independent, so they run concurrently; the weighted
@@ -382,7 +377,7 @@ mod tests {
         // with weight 1 and no warmup to skip: the sampled path degenerates
         // to the exact pipeline run and must agree bit-for-bit.
         let program = Benchmark::Adi.build(Scale::Tiny);
-        let exact = simulate(&base(), AssistKind::None, true, &program);
+        let exact = simulate(&base(), AssistKind::None, true, &program, None);
         let sampled = simulate_sampled(
             &base(),
             AssistKind::None,
@@ -423,12 +418,28 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_callers_of_one_key_share_one_profile_pass() {
+        let program = Benchmark::Vpenta.build(Scale::Small);
+        let plan = Plan::compile(&program);
+        let barrier = std::sync::Barrier::new(2);
+        let ask = || {
+            barrier.wait();
+            selection(&program, &plan, 4096, 4, Some(0x0c0_ffee))
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(ask), s.spawn(ask));
+            (a.join().expect("first caller"), b.join().expect("second caller"))
+        });
+        assert!(Arc::ptr_eq(&a, &b), "both callers must get the one pass's result");
+    }
+
+    #[test]
     fn sampled_tracks_exact_within_tolerance() {
         // Accuracy smoke at a scale that exercises selection, warmup, and
         // extrapolation; the strict 3% gate at Scale::Large lives in the
         // sampled_run example (wired into CI).
         let program = Benchmark::Vpenta.build(Scale::Medium);
-        let exact = simulate(&base(), AssistKind::None, true, &program);
+        let exact = simulate(&base(), AssistKind::None, true, &program, None);
         let sampled = simulate_sampled(
             &base(),
             AssistKind::None,
@@ -455,7 +466,7 @@ mod tests {
         // assisted accesses in proportion.
         let opt = crate::runner::default_opt(&base());
         let program = selcache_compiler::selective(&Benchmark::Chaos.build(Scale::Small), &opt);
-        let exact = simulate(&base(), AssistKind::Bypass, false, &program);
+        let exact = simulate(&base(), AssistKind::Bypass, false, &program, None);
         let sampled = simulate_sampled(
             &base(),
             AssistKind::Bypass,

@@ -7,7 +7,10 @@
 //! vs `0.0`) fails here.
 
 use proptest::prelude::*;
-use selcache_core::{AssistKind, Benchmark, ConfigVariant, JobEngine, Scale, SimJob, Version};
+use selcache_core::{
+    AssistKind, Benchmark, ConfigVariant, ControllerConfig, JobEngine, MachineConfig, Scale,
+    SimJob, SimMode, Version,
+};
 
 const BENCHMARKS: [Benchmark; 3] = [Benchmark::Adi, Benchmark::Li, Benchmark::Vpenta];
 const SCALES: [Scale; 2] = [Scale::Tiny, Scale::Small];
@@ -108,14 +111,35 @@ proptest! {
     }
 }
 
-/// The id is stable across processes: a literal value pinned here breaks
+/// The id is stable across processes: the literal values pinned here break
 /// only when the canonical encoding (or the hash) changes, which must come
-/// with an identity-schema bump.
+/// with an identity-schema bump. The store and the benchmark's reference
+/// results are both addressed by these ids.
 #[test]
 fn job_id_is_deterministic_across_engines() {
     let j = job(0, 0, 0, 1, 4, 100, 50, false);
     assert_eq!(j.job_id(), j.clone().job_id());
     let again = job(0, 0, 0, 1, 4, 100, 50, false);
     assert_eq!(j.job_id(), again.job_id());
-    assert_eq!(j.job_id().to_string().len(), 32);
+
+    let on_base = |benchmark, scale, version| {
+        SimJob::new(benchmark, scale, MachineConfig::base(), AssistKind::Bypass, version)
+    };
+    let ctl = ControllerConfig::default();
+    for (job, pinned) in [
+        (
+            on_base(Benchmark::Vpenta, Scale::Small, Version::Selective),
+            "04a49db6a2642922ab9b2c27a04bd096",
+        ),
+        (
+            on_base(Benchmark::TpcC, Scale::Tiny, Version::Selective).with_controller(ctl),
+            "593371edb3f8f6bdb2e5ed4639aaa2cd",
+        ),
+        (
+            on_base(Benchmark::Vpenta, Scale::Large, Version::Base).with_mode(SimMode::sampled()),
+            "ba564e701535a8585d4a5e3f098d4f28",
+        ),
+    ] {
+        assert_eq!(job.job_id().to_string(), pinned, "{job:?}");
+    }
 }

@@ -37,5 +37,5 @@ mod stats;
 
 pub use config::{CpuConfig, CpuModel, PredictorKind};
 pub use pipeline::Pipeline;
-pub use predictor::{Bimodal, Gshare, Predictor, PredictorState};
+pub use predictor::{Bimodal, Gshare, Predictor};
 pub use stats::{CpuStats, CpuStatsProbe};

@@ -165,8 +165,7 @@ impl Pipeline {
         p
     }
 
-    /// The pipeline's branch predictor (e.g. to snapshot its learned state
-    /// for reuse by a later measured interval).
+    /// The pipeline's branch predictor.
     pub fn predictor(&self) -> &Predictor {
         &self.predictor
     }

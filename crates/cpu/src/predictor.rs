@@ -182,57 +182,6 @@ impl Predictor {
             Predictor::Gshare(p) => p.accuracy(),
         }
     }
-
-    /// Captures the learned state: counter tables plus (for gshare) the
-    /// global history register. Accuracy counters are not included.
-    pub fn snapshot(&self) -> PredictorState {
-        let inner = match self {
-            Predictor::Bimodal(p) => StateInner::Bimodal { counters: p.counters.clone() },
-            Predictor::Gshare(p) => {
-                StateInner::Gshare { counters: p.counters.clone(), history: p.history }
-            }
-        };
-        PredictorState { inner }
-    }
-
-    /// Restores a snapshot taken from an identically-configured predictor
-    /// and resets the accuracy counters, so a restored predictor reports
-    /// statistics for the measured run only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's kind or table size differs.
-    pub fn restore(&mut self, snap: &PredictorState) {
-        match (self, &snap.inner) {
-            (Predictor::Bimodal(p), StateInner::Bimodal { counters }) => {
-                assert_eq!(p.counters.len(), counters.len(), "predictor snapshot size mismatch");
-                p.counters.copy_from_slice(counters);
-                p.lookups = 0;
-                p.correct = 0;
-            }
-            (Predictor::Gshare(p), StateInner::Gshare { counters, history }) => {
-                assert_eq!(p.counters.len(), counters.len(), "predictor snapshot size mismatch");
-                p.counters.copy_from_slice(counters);
-                p.history = *history;
-                p.lookups = 0;
-                p.correct = 0;
-            }
-            _ => panic!("predictor snapshot kind mismatch"),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum StateInner {
-    Bimodal { counters: Vec<u8> },
-    Gshare { counters: Vec<u8>, history: u64 },
-}
-
-/// Checkpoint of a [`Predictor`]'s learned state (see
-/// [`Predictor::snapshot`]).
-#[derive(Debug, Clone)]
-pub struct PredictorState {
-    inner: StateInner,
 }
 
 #[cfg(test)]
@@ -331,36 +280,6 @@ mod tests {
         let mut p = Predictor::Bimodal(Bimodal::new(64));
         p.update(0, false);
         assert!(p.accuracy() <= 1.0);
-    }
-
-    #[test]
-    fn snapshot_restore_transfers_learned_state() {
-        for mut warm in [Predictor::Bimodal(Bimodal::new(64)), Predictor::Gshare(Gshare::new(64))] {
-            for i in 0..500u64 {
-                warm.update(0x400 + (i % 16) * 4, i % 3 != 0);
-            }
-            let snap = warm.snapshot();
-            let mut cold = match warm {
-                Predictor::Bimodal(_) => Predictor::Bimodal(Bimodal::new(64)),
-                Predictor::Gshare(_) => Predictor::Gshare(Gshare::new(64)),
-            };
-            cold.restore(&snap);
-            assert_eq!(cold.accuracy(), 0.0, "restore must reset accuracy counters");
-            // Identical learned state: both predict (and thus mispredict)
-            // the same sequence from here on.
-            for i in 500..1000u64 {
-                let pc = 0x400 + (i % 16) * 4;
-                let taken = i % 3 != 0;
-                assert_eq!(warm.update(pc, taken), cold.update(pc, taken));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "kind mismatch")]
-    fn restore_rejects_other_kind() {
-        let snap = Predictor::Bimodal(Bimodal::new(64)).snapshot();
-        Predictor::Gshare(Gshare::new(64)).restore(&snap);
     }
 
     #[test]

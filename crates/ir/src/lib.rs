@@ -48,7 +48,6 @@ mod pretty;
 mod program;
 mod region;
 mod trace;
-mod trace_io;
 
 pub use builder::{ProgramBuilder, StmtBuilder};
 pub use expr::{AffineExpr, Subscript};
@@ -62,4 +61,3 @@ pub use program::{
 };
 pub use region::{site_count, RegionMap, RegionMapBuilder};
 pub use trace::{site_index, OpKind, TraceOp, SITE_BYTES, TEXT_BASE};
-pub use trace_io::{TraceReader, TraceWriter, TRACE_MAGIC};

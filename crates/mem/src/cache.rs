@@ -74,26 +74,6 @@ impl Lookup {
     }
 }
 
-/// Checkpoint of a cache's functional state: tag/valid/dirty arrays,
-/// replacement metadata (LRU stamps, MRU hints, PLRU bits, random-policy
-/// RNG), and the classification shadow structures. Statistics counters are
-/// **not** part of a snapshot — restoring rewinds *state*, not accounting,
-/// so a warmup pass followed by [`Cache::restore`] leaves the miss counters
-/// measuring exactly what ran after the restore point (callers difference
-/// stats with [`crate::CacheStats::since`]).
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot {
-    cfg: CacheConfig,
-    lines: Box<[Line]>,
-    mru: Box<[u32]>,
-    plru: Vec<u64>,
-    stamp: u64,
-    rng: u64,
-    shadow: Option<LruSet>,
-    seen: PagedBits,
-    owner: Option<Box<[u8]>>,
-}
-
 /// A block evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
@@ -500,39 +480,6 @@ impl Cache {
     pub fn resident(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
     }
-
-    /// Captures the functional state (see [`CacheSnapshot`]).
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            cfg: self.cfg,
-            lines: self.lines.clone(),
-            mru: self.mru.clone(),
-            plru: self.plru.clone(),
-            stamp: self.stamp,
-            rng: self.rng,
-            shadow: self.shadow.clone(),
-            seen: self.seen.clone(),
-            owner: self.owner.clone(),
-        }
-    }
-
-    /// Restores a snapshot taken from a cache of identical geometry and
-    /// policy. Statistics counters are left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a differently-configured cache.
-    pub fn restore(&mut self, snap: &CacheSnapshot) {
-        assert_eq!(self.cfg, snap.cfg, "cache snapshot geometry mismatch");
-        self.lines = snap.lines.clone();
-        self.mru = snap.mru.clone();
-        self.plru = snap.plru.clone();
-        self.stamp = snap.stamp;
-        self.rng = snap.rng;
-        self.shadow = snap.shadow.clone();
-        self.seen = snap.seen.clone();
-        self.owner = snap.owner.clone();
-    }
 }
 
 #[cfg(test)]
@@ -820,72 +767,6 @@ mod tests {
         // at quota 1 must evict it (not the untouched way).
         let e = c.fill_partitioned(2, false, true, 1).unwrap();
         assert_eq!((e.block, e.dirty), (0, true));
-    }
-
-    #[test]
-    fn snapshot_carries_partition_ownership() {
-        let mut warm = Cache::new(CacheConfig {
-            size: 4 * 32,
-            assoc: 4,
-            block_size: 32,
-            replacement: Replacement::Lru,
-        });
-        for b in 0..4 {
-            warm.fill_partitioned(b, false, b % 2 == 0, 2);
-        }
-        let mut restored = Cache::new(*warm.config());
-        restored.restore(&warm.snapshot());
-        for blk in [20, 21, 22] {
-            let irregular = blk % 2 == 0;
-            assert_eq!(
-                warm.fill_partitioned(blk, false, irregular, 2),
-                restored.fill_partitioned(blk, false, irregular, 2),
-                "ownership tags must survive snapshot/restore"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        // Two caches at the same warm state (one via restore) must agree on
-        // every subsequent hit/miss/eviction — the snapshot captures all
-        // replacement and classification state.
-        let mut warm = tiny();
-        let mut state = 7u64;
-        let step = |s: &mut u64| {
-            *s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (*s >> 33) % 40
-        };
-        for _ in 0..500 {
-            let b = step(&mut state);
-            if !warm.access(b, false).is_hit() {
-                warm.fill(b, false);
-            }
-        }
-        let snap = warm.snapshot();
-        let mut restored = tiny();
-        restored.restore(&snap);
-        assert_eq!(restored.stats().accesses, 0, "restore must not import stats");
-        let mut replay = state;
-        for _ in 0..500 {
-            let b = step(&mut state);
-            let bb = step(&mut replay);
-            assert_eq!(b, bb);
-            let hit_a = warm.access(b, false).is_hit();
-            let hit_b = restored.access(b, false).is_hit();
-            assert_eq!(hit_a, hit_b, "divergence at block {b}");
-            if !hit_a {
-                assert_eq!(warm.fill(b, false), restored.fill(b, false));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn restore_rejects_other_geometry() {
-        let snap = tiny().snapshot();
-        let mut other = Cache::new(CacheConfig::kib(32, 4, 32));
-        other.restore(&snap);
     }
 
     #[test]

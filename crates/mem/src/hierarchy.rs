@@ -11,37 +11,12 @@
 
 use crate::adapt::{AdaptController, AssistChoice, ControllerConfig, WayDuel};
 use crate::bypass::{BypassConfig, BypassEngine, FillDecision};
-use crate::cache::{Cache, CacheConfig, CacheSnapshot, Eviction};
+use crate::cache::{Cache, CacheConfig, Eviction};
 use crate::probe::{AssistEvent, CacheLevel, NullProbe, Probe, Site};
 use crate::stats::{AssistStats, HierarchyStats};
-use crate::tlb::{Tlb, TlbConfig, TlbSnapshot};
+use crate::tlb::{Tlb, TlbConfig};
 use crate::victim::VictimCache;
 use selcache_ir::Addr;
-
-/// Checkpoint of the whole hierarchy's functional state: every cache's
-/// tag/replacement arrays, both TLBs, the assist structures (MAT/SLDT,
-/// bypass buffer, victim caches, stream buffers), the adaptive controller
-/// and way-duel state when attached, and the run-time assist flag. Timing state (port/bus occupancy, open DRAM rows) and the
-/// cache/TLB statistics counters are **not** captured: a restore starts
-/// from an idle memory system, and measurements across a restore take the
-/// post-restore [`MemoryHierarchy::stats`] as their baseline and difference
-/// with [`HierarchyStats::since`]. This is the checkpoint format the
-/// sampled execution mode stores per representative interval.
-#[derive(Debug, Clone)]
-pub struct HierarchySnapshot {
-    l1d: CacheSnapshot,
-    l1i: CacheSnapshot,
-    l2: CacheSnapshot,
-    dtlb: TlbSnapshot,
-    itlb: TlbSnapshot,
-    bypass: Option<BypassEngine>,
-    victim_l1: Option<VictimCache>,
-    victim_l2: Option<VictimCache>,
-    stream: Option<crate::stream::StreamBuffers>,
-    adapt: Option<AdaptController>,
-    duel: Option<WayDuel>,
-    enabled: bool,
-}
 
 /// Which hardware locality-optimization mechanism is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -666,55 +641,13 @@ impl MemoryHierarchy {
 
     /// Clears the timing-only state (L2 port and memory-bus occupancy, open
     /// DRAM rows) so timed simulation can start from an idle memory system
-    /// after a functional-warmup pass or a snapshot restore.
+    /// after a functional-warmup pass.
     pub fn reset_timing(&mut self) {
         self.l2_busy_until = 0;
         self.mem_busy_until = 0;
         for row in &mut self.open_dram_rows {
             *row = u64::MAX;
         }
-    }
-
-    /// Captures the functional state (see [`HierarchySnapshot`]).
-    pub fn snapshot(&self) -> HierarchySnapshot {
-        HierarchySnapshot {
-            l1d: self.l1d.snapshot(),
-            l1i: self.l1i.snapshot(),
-            l2: self.l2.snapshot(),
-            dtlb: self.dtlb.snapshot(),
-            itlb: self.itlb.snapshot(),
-            bypass: self.bypass.clone(),
-            victim_l1: self.victim_l1.clone(),
-            victim_l2: self.victim_l2.clone(),
-            stream: self.stream.clone(),
-            adapt: self.adapt.clone(),
-            duel: self.duel.clone(),
-            enabled: self.enabled,
-        }
-    }
-
-    /// Restores a snapshot taken from an identically-configured hierarchy
-    /// and resets the timing state. Statistics counters are left untouched;
-    /// difference them across the restore with [`HierarchyStats::since`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cache geometry disagrees with the snapshot's.
-    pub fn restore(&mut self, snap: &HierarchySnapshot) {
-        self.l1d.restore(&snap.l1d);
-        self.l1i.restore(&snap.l1i);
-        self.l2.restore(&snap.l2);
-        self.dtlb.restore(&snap.dtlb);
-        self.itlb.restore(&snap.itlb);
-        self.bypass = snap.bypass.clone();
-        self.victim_l1 = snap.victim_l1.clone();
-        self.victim_l2 = snap.victim_l2.clone();
-        self.stream = snap.stream.clone();
-        self.adapt = snap.adapt.clone();
-        self.duel = snap.duel.clone();
-        self.cur_choice = None;
-        self.enabled = snap.enabled;
-        self.reset_timing();
     }
 }
 
@@ -1061,36 +994,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        for assist in [AssistKind::None, AssistKind::Bypass, AssistKind::Victim, AssistKind::Stream]
-        {
-            let mut h = MemoryHierarchy::new(HierarchyConfig::paper_base(assist));
-            for i in 0..2000u64 {
-                h.warm_access(mixed_addr(i), i % 4 == 0);
-            }
-            h.set_assist_enabled(false);
-            let snap = h.snapshot();
-            let mut clone_at_snap = h.clone();
-            clone_at_snap.reset_timing();
-            // Diverge, then restore into the dirtied hierarchy.
-            for i in 5000..6000u64 {
-                h.data_access(mixed_addr(i), false, i * 13);
-            }
-            h.set_assist_enabled(true);
-            h.restore(&snap);
-            let (bh, bc) = (h.stats(), clone_at_snap.stats());
-            let mut now = 0;
-            for i in 2000..3000u64 {
-                now += 37;
-                let a = h.data_access(mixed_addr(i), i % 4 == 0, now);
-                let b = clone_at_snap.data_access(mixed_addr(i), i % 4 == 0, now);
-                assert_eq!(a, b, "latency diverged at op {i} for {assist:?}");
-            }
-            assert_eq!(h.stats().since(&bh), clone_at_snap.stats().since(&bc), "{assist:?}");
-        }
-    }
-
     use selcache_ir::RegionId;
 
     /// Base machine plus the online controller, with short intervals so
@@ -1182,51 +1085,6 @@ mod tests {
             }
         }
         assert_eq!(probe.stats(), h.stats(), "event stream incomplete for the controller");
-    }
-
-    #[test]
-    fn dynamic_snapshot_restore_resumes_identically() {
-        // Controller and way-duel state are functional state: a restore
-        // must replay bit-identically, including policy decisions.
-        let mut h = MemoryHierarchy::new(dynamic_cfg());
-        let mut now = 0;
-        for i in 0..3000u64 {
-            now += 37;
-            let site = Site::new(0x400, RegionId((i % 3) as u32));
-            h.data_access_probed(mixed_addr(i), i % 4 == 0, now, site, &mut NullProbe);
-        }
-        let snap = h.snapshot();
-        let mut clone_at_snap = h.clone();
-        clone_at_snap.reset_timing();
-        for i in 5000..6000u64 {
-            now += 37;
-            h.data_access_probed(mixed_addr(i), false, now, Site::UNKNOWN, &mut NullProbe);
-        }
-        h.restore(&snap);
-        let (bh, bc) = (h.stats(), clone_at_snap.stats());
-        let mut t = 0;
-        for i in 3000..4000u64 {
-            t += 37;
-            let site = Site::new(0x400, RegionId((i % 3) as u32));
-            let a = h.data_access_probed(mixed_addr(i), i % 4 == 0, t, site, &mut NullProbe);
-            let b = clone_at_snap.data_access_probed(
-                mixed_addr(i),
-                i % 4 == 0,
-                t,
-                site,
-                &mut NullProbe,
-            );
-            assert_eq!(a, b, "latency diverged at op {i}");
-        }
-        assert_eq!(h.stats().since(&bh), clone_at_snap.stats().since(&bc));
-        assert_eq!(
-            h.adapt_controller().unwrap().policy(RegionId(0)),
-            clone_at_snap.adapt_controller().unwrap().policy(RegionId(0))
-        );
-        assert_eq!(
-            h.way_duel().map(|d| d.side_quota(true)),
-            clone_at_snap.way_duel().map(|d| d.side_quota(true))
-        );
     }
 
     #[test]

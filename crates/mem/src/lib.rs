@@ -37,13 +37,13 @@ mod victim;
 
 pub use adapt::{AdaptController, AssistChoice, ControllerConfig, Decision, WayDuel};
 pub use bypass::{BufferEviction, BypassConfig, BypassEngine, FillDecision};
-pub use cache::{Cache, CacheConfig, CacheSnapshot, Eviction, Lookup, Replacement};
-pub use hierarchy::{AssistKind, HierarchyConfig, HierarchySnapshot, MemoryHierarchy};
+pub use cache::{Cache, CacheConfig, Eviction, Lookup, Replacement};
+pub use hierarchy::{AssistKind, HierarchyConfig, MemoryHierarchy};
 pub use lru::LruSet;
 pub use mat::{Mat, MatConfig};
 pub use probe::{AssistEvent, CacheLevel, HierarchyStatsProbe, NullProbe, Probe, Site};
 pub use sldt::{Sldt, SldtConfig};
 pub use stats::{AssistStats, CacheStats, HierarchyStats, MissClass};
 pub use stream::{StreamBuffers, StreamConfig};
-pub use tlb::{Tlb, TlbConfig, TlbSnapshot};
+pub use tlb::{Tlb, TlbConfig};
 pub use victim::VictimCache;

@@ -1,14 +1,7 @@
 //! Translation lookaside buffer model.
 
-use crate::cache::{Cache, CacheConfig, CacheSnapshot, Replacement};
+use crate::cache::{Cache, CacheConfig, Replacement};
 use selcache_ir::Addr;
-
-/// Checkpoint of a TLB's resident translations and replacement state
-/// (see [`CacheSnapshot`]); the access/miss counters are not included.
-#[derive(Debug, Clone)]
-pub struct TlbSnapshot {
-    cache: CacheSnapshot,
-}
 
 /// TLB geometry and miss penalty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,17 +84,6 @@ impl Tlb {
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Captures the resident translations and replacement state.
-    pub fn snapshot(&self) -> TlbSnapshot {
-        TlbSnapshot { cache: self.cache.snapshot() }
-    }
-
-    /// Restores a snapshot from an identically-configured TLB; the
-    /// access/miss counters are left untouched.
-    pub fn restore(&mut self, snap: &TlbSnapshot) {
-        self.cache.restore(&snap.cache);
     }
 }
 
