@@ -4,18 +4,14 @@
 
 use selcache_analysis::{PhaseConfig, PhaseDetector, ReuseProfiler, ReuseSpectrum};
 use selcache_ir::{Addr, Interp};
-use selcache_mem::{Cache, CacheConfig, Replacement};
+use selcache_mem::{Cache, CacheConfig};
 use selcache_workloads::{Benchmark, Scale};
 
 /// Simulate an LRU cache of the given geometry over a block stream and
 /// return its miss ratio.
 fn lru_miss_ratio(stream: &[u64], sets: u64, assoc: u32) -> f64 {
-    let mut cache = Cache::new(CacheConfig {
-        size: sets * assoc as u64 * 32,
-        assoc,
-        block_size: 32,
-        replacement: Replacement::Lru,
-    });
+    let mut cache =
+        Cache::new(CacheConfig { size: sets * assoc as u64 * 32, assoc, block_size: 32 });
     let mut misses = 0u64;
     for &a in stream {
         let b = cache.block_of(Addr(a));

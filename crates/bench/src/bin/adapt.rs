@@ -32,16 +32,7 @@ fn main() {
         }
     }
     let cli = match Cli::parse(rest) {
-        Ok(mut cli) => {
-            if cli.store.is_none() {
-                if let Ok(dir) = std::env::var("SELCACHE_STORE") {
-                    if !dir.is_empty() {
-                        cli.store = Some(dir.into());
-                    }
-                }
-            }
-            cli
-        }
+        Ok(cli) => cli,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{USAGE} [--min-wins N]");

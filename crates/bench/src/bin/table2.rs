@@ -10,5 +10,5 @@ fn main() {
         cli.scale,
         engine.threads()
     );
-    print!("{}", selcache_core::table2_with(&engine, cli.scale));
+    print!("{}", selcache_core::table2(&engine, cli.scale));
 }

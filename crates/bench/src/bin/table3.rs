@@ -9,9 +9,7 @@
 //! `--format csv` emits the rows via `table3_csv`.
 use selcache_bench::{engine_stats_json, Cli, OutputFormat};
 use selcache_core::json::Json;
-use selcache_core::{
-    format_table3, table3_csv, table3_rows_with_stats_in_mode, ConfigVariant, Table3Row,
-};
+use selcache_core::{format_table3, table3_csv, table3_rows, ConfigVariant, Table3Row};
 
 fn row_json(r: &Table3Row) -> Json {
     Json::obj([
@@ -36,8 +34,7 @@ fn main() {
         cli.scale,
         engine.threads()
     );
-    let (rows, stats) =
-        table3_rows_with_stats_in_mode(&engine, &machines, cli.scale, &cli.benchmarks(), cli.mode);
+    let (rows, stats) = table3_rows(&engine, &machines, cli.scale, &cli.benchmarks(), cli.mode);
     if engine.store().is_some() {
         eprintln!(
             "store: {} hits, {} misses, {} bytes written",

@@ -146,8 +146,9 @@ pub struct Cli {
     pub mode: SimMode,
     /// Output format for binaries that support `--format`.
     pub format: OutputFormat,
-    /// Persistent result-store root (`--store` flag; [`Cli::from_env`]
-    /// also honors the `SELCACHE_STORE` environment variable).
+    /// Persistent result-store root (`--store` flag; when absent,
+    /// [`Cli::engine`] falls back to the `SELCACHE_STORE` environment
+    /// variable).
     pub store: Option<std::path::PathBuf>,
     /// Attach the online assist controller (`--dynamic`): selective runs
     /// then defer the per-region {off, bypass, victim} choice to the
@@ -241,21 +242,10 @@ impl Cli {
     }
 
     /// Parses `std::env::args`; on failure prints the error plus [`USAGE`]
-    /// to stderr and exits with status 2. When `--store` is absent, a
-    /// non-empty `SELCACHE_STORE` environment variable supplies the store
-    /// root (so CI and shell profiles can warm one store across runs).
+    /// to stderr and exits with status 2.
     pub fn from_env() -> Cli {
         match Cli::parse(std::env::args().skip(1)) {
-            Ok(mut cli) => {
-                if cli.store.is_none() {
-                    if let Ok(dir) = std::env::var("SELCACHE_STORE") {
-                        if !dir.is_empty() {
-                            cli.store = Some(dir.into());
-                        }
-                    }
-                }
-                cli
-            }
+            Ok(cli) => cli,
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!("{USAGE}");
@@ -273,13 +263,16 @@ impl Cli {
     }
 
     /// A job engine sized per `--threads`, backed by the `--store`
-    /// directory when one was given. A store root that cannot be created
-    /// is fatal (exit 1): silently running store-less would re-simulate
-    /// everything the caller expected to be cached.
+    /// directory when one was given, else by a non-empty `SELCACHE_STORE`
+    /// environment variable (so CI and shell profiles can warm one store
+    /// across runs). A store root that cannot be created is fatal
+    /// (exit 1): silently running store-less would re-simulate everything
+    /// the caller expected to be cached.
     pub fn engine(&self) -> JobEngine {
-        match &self.store {
+        let env_store = || std::env::var_os("SELCACHE_STORE").filter(|dir| !dir.is_empty());
+        match self.store.clone().or_else(|| env_store().map(Into::into)) {
             None => JobEngine::new(self.threads),
-            Some(root) => match Store::open(root) {
+            Some(root) => match Store::open(&root) {
                 Ok(store) => JobEngine::with_store(self.threads, store),
                 Err(e) => {
                     eprintln!("failed to open store {}: {e}", root.display());
@@ -329,7 +322,7 @@ pub fn run_figure(variant: ConfigVariant) {
         cli.assist,
         engine.threads()
     );
-    let suite = SuiteResult::run_in_mode(
+    let suite = SuiteResult::run(
         &engine,
         variant.machine(),
         cli.assist,

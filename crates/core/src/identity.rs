@@ -19,12 +19,16 @@
 //! with `==`. A property test (`tests/identity_props.rs` at the workspace
 //! root of `selcache-core`) pins the agreement between hash identity and
 //! structural identity over arbitrary job sets.
+//!
+//! A config field that is retired keeps its slot: the encoding writes the
+//! constant byte the field's one remaining value wrote, so ids (and every
+//! stored result keyed by them) stay stable without a schema bump.
 
 use selcache_compiler::OptConfig;
-use selcache_cpu::{CpuConfig, CpuModel, PredictorKind};
+use selcache_cpu::{CpuConfig, CpuModel};
 use selcache_mem::{
-    AssistKind, BypassConfig, CacheConfig, ControllerConfig, HierarchyConfig, Replacement,
-    StreamConfig, TlbConfig,
+    AssistKind, BypassConfig, CacheConfig, ControllerConfig, HierarchyConfig, StreamConfig,
+    TlbConfig,
 };
 use selcache_workloads::{Benchmark, Scale};
 use std::fmt;
@@ -58,12 +62,6 @@ impl JobId {
     /// The raw 128-bit value.
     pub fn as_u128(self) -> u128 {
         self.0
-    }
-
-    /// Constructs an id from a raw value (useful for tests and tools that
-    /// read ids back out of reports).
-    pub fn from_u128(v: u128) -> JobId {
-        JobId(v)
     }
 }
 
@@ -275,26 +273,6 @@ impl Canon for AssistKind {
     }
 }
 
-impl Canon for Replacement {
-    fn canon(&self, w: &mut CanonWriter) {
-        w.u8(match self {
-            Replacement::Lru => 0,
-            Replacement::Fifo => 1,
-            Replacement::Random => 2,
-            Replacement::Plru => 3,
-        });
-    }
-}
-
-impl Canon for PredictorKind {
-    fn canon(&self, w: &mut CanonWriter) {
-        w.u8(match self {
-            PredictorKind::Bimodal => 0,
-            PredictorKind::Gshare => 1,
-        });
-    }
-}
-
 impl Canon for CpuModel {
     fn canon(&self, w: &mut CanonWriter) {
         w.u8(match self {
@@ -315,7 +293,8 @@ impl Canon for CpuConfig {
         w.u32(self.int_units);
         w.u32(self.fp_units);
         w.usize(self.predictor_entries);
-        self.predictor.canon(w);
+        // Retired `predictor` field: tag 0 was the bimodal predictor.
+        w.u8(0);
         w.u64(self.mispredict_penalty);
         w.u64(self.int_latency);
         w.u64(self.fp_latency);
@@ -329,7 +308,8 @@ impl Canon for CacheConfig {
         w.u64(self.size);
         w.u32(self.assoc);
         w.u64(self.block_size);
-        self.replacement.canon(w);
+        // Retired `replacement` field: tag 0 was LRU.
+        w.u8(0);
     }
 }
 
@@ -373,7 +353,8 @@ impl Canon for ControllerConfig {
         w.u32(self.hysteresis_pct);
         w.u32(self.hysteresis_intervals);
         w.usize(self.max_regions);
-        w.bool(self.way_partition);
+        // Retired `way_partition` field: the way duel is always on.
+        w.bool(true);
         w.u32(self.min_ways);
         w.u32(self.duel_accesses);
     }
@@ -399,7 +380,8 @@ impl Canon for HierarchyConfig {
         w.usize(self.l1_victim_entries);
         w.usize(self.l2_victim_entries);
         self.stream.canon(w);
-        w.bool(self.classify_misses);
+        // Retired `classify_misses` field: L1d and L2 always classify.
+        w.bool(true);
         w.opt(&self.controller);
     }
 }

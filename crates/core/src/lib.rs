@@ -34,9 +34,9 @@
 //! Whole tables and figures are job *sets*: independent simulations the
 //! [`JobEngine`] deduplicates and runs in parallel, returning results in
 //! submission order (bit-identical for every thread count). The suite and
-//! table entry points ([`SuiteResult::run_with`], [`table2_with`],
-//! [`table3_rows`]) are declarative constructors over it; build custom
-//! studies from [`SimJob`] directly.
+//! table entry points ([`SuiteResult::run`], [`table2`], [`table3_rows`])
+//! are declarative constructors over it; build custom studies from
+//! [`SimJob`] directly.
 //!
 //! ## Design-space sweeps
 //!
@@ -75,15 +75,15 @@ pub use executor::Executor;
 pub use identity::JobId;
 pub use profile::{RegionProfile, RegionProfileProbe, RegionStats};
 pub use report::{
-    format_region_report, format_table3, table2, table2_with, table3_csv, table3_row, table3_rows,
-    table3_rows_with_stats, table3_rows_with_stats_in_mode, BenchmarkRow, SuiteResult, Table3Row,
+    format_region_report, format_table3, table2, table3_csv, table3_rows, BenchmarkRow,
+    SuiteResult, Table3Row,
 };
 pub use runner::{Experiment, ExperimentBuilder, SimResult, Version};
 pub use sampled::{SampledInfo, SimMode};
 pub use store::{GcReport, Store, StoreStats};
 pub use sweep::{
-    l1_assoc_sweep, memory_latency_sweep, CheckSummary, PointCheck, PointData, Sweep, SweepAxis,
-    SweepError, SweepMode, SweepPoint, SweepSpec, SweepWork, VersionedMiss,
+    CheckSummary, PointCheck, PointData, Sweep, SweepAxis, SweepError, SweepMode, SweepPoint,
+    SweepSpec, SweepWork, VersionedMiss,
 };
 
 // Re-export the pieces callers need to parameterize experiments.

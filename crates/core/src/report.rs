@@ -119,20 +119,8 @@ impl SuiteResult {
         SuiteResult { machine_name, assist, rows }
     }
 
-    /// Runs a suite on an explicit engine.
-    pub fn run_with(
-        engine: &JobEngine,
-        machine: MachineConfig,
-        assist: AssistKind,
-        scale: Scale,
-        benchmarks: &[Benchmark],
-    ) -> SuiteResult {
-        Self::run_in_mode(engine, machine, assist, scale, benchmarks, SimMode::Exact)
-    }
-
-    /// Runs a suite on an explicit engine in an explicit simulation mode
-    /// (the figure binaries' `--mode sampled` path).
-    pub fn run_in_mode(
+    /// Runs a suite on `engine`, every job in simulation mode `mode`.
+    pub fn run(
         engine: &JobEngine,
         machine: MachineConfig,
         assist: AssistKind,
@@ -144,21 +132,6 @@ impl SuiteResult {
         let jobs = Self::jobs_in_mode(&machine, assist, scale, benchmarks, mode);
         let results = engine.run(&jobs);
         Self::from_results(name, assist, benchmarks, &results)
-    }
-
-    /// Runs the full 13-benchmark suite on a default-sized engine.
-    pub fn run(machine: MachineConfig, assist: AssistKind, scale: Scale) -> SuiteResult {
-        Self::run_with(&JobEngine::default(), machine, assist, scale, &Benchmark::ALL)
-    }
-
-    /// Runs a subset of the suite (used by tests and quick sweeps).
-    pub fn run_subset(
-        machine: MachineConfig,
-        assist: AssistKind,
-        scale: Scale,
-        benchmarks: &[Benchmark],
-    ) -> SuiteResult {
-        Self::run_with(&JobEngine::default(), machine, assist, scale, benchmarks)
     }
 
     /// Suite-wide average improvement of a version.
@@ -264,9 +237,8 @@ fn assist_name(a: AssistKind) -> &'static str {
     }
 }
 
-/// Table 2 on an explicit engine: benchmark characteristics under the base
-/// configuration.
-pub fn table2_with(engine: &JobEngine, scale: Scale) -> String {
+/// Table 2: benchmark characteristics under the base configuration.
+pub fn table2(engine: &JobEngine, scale: Scale) -> String {
     let machine = MachineConfig::base();
     let jobs: Vec<SimJob> = Benchmark::ALL
         .iter()
@@ -293,11 +265,6 @@ pub fn table2_with(engine: &JobEngine, scale: Scale) -> String {
         );
     }
     out
-}
-
-/// Table 2 on a default-sized engine.
-pub fn table2(scale: Scale) -> String {
-    table2_with(&JobEngine::default(), scale)
 }
 
 fn format_count(n: u64) -> String {
@@ -347,33 +314,13 @@ impl Table3Row {
 }
 
 /// Computes every Table 3 row as one batched job set: all machines, both
-/// assist sweeps. The engine deduplicates the runs the sweeps share — each
-/// machine's Base and PureSoftware simulations serve both its bypass and
-/// victim suites.
+/// assist sweeps, every job in simulation mode `mode` so each machine's
+/// averages compare like against like. The engine deduplicates the runs
+/// the sweeps share — each machine's Base and PureSoftware simulations
+/// serve both its bypass and victim suites. Also returns the engine
+/// counters for the batch: dedup and (for store-backed engines) store
+/// hit/miss accounting.
 pub fn table3_rows(
-    engine: &JobEngine,
-    machines: &[MachineConfig],
-    scale: Scale,
-    benchmarks: &[Benchmark],
-) -> Vec<Table3Row> {
-    table3_rows_with_stats(engine, machines, scale, benchmarks).0
-}
-
-/// [`table3_rows`] plus the engine counters for the batched job set —
-/// dedup and (for store-backed engines) store hit/miss accounting.
-pub fn table3_rows_with_stats(
-    engine: &JobEngine,
-    machines: &[MachineConfig],
-    scale: Scale,
-    benchmarks: &[Benchmark],
-) -> (Vec<Table3Row>, EngineStats) {
-    table3_rows_with_stats_in_mode(engine, machines, scale, benchmarks, SimMode::Exact)
-}
-
-/// [`table3_rows_with_stats`] in an explicit simulation mode: every suite
-/// job in the batch runs exact or sampled, so each machine's averages
-/// compare like against like.
-pub fn table3_rows_with_stats_in_mode(
     engine: &JobEngine,
     machines: &[MachineConfig],
     scale: Scale,
@@ -420,13 +367,6 @@ pub fn table3_rows_with_stats_in_mode(
         })
         .collect();
     (rows, stats)
-}
-
-/// Computes one Table 3 row from the two assist sweeps of a machine.
-pub fn table3_row(machine: MachineConfig, scale: Scale, benchmarks: &[Benchmark]) -> Table3Row {
-    table3_rows(&JobEngine::default(), &[machine], scale, benchmarks)
-        .pop()
-        .expect("one machine in, one row out")
 }
 
 /// Formats a profiled run as a per-region report: one line per uniform
@@ -507,14 +447,21 @@ pub fn table3_csv(rows: &[Table3Row]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn subset_suite_runs_and_formats() {
-        let s = SuiteResult::run_subset(
+    /// An exact victim-cache suite on the base machine at tiny scale.
+    fn suite(benchmarks: &[Benchmark]) -> SuiteResult {
+        SuiteResult::run(
+            &JobEngine::default(),
             MachineConfig::base(),
             AssistKind::Victim,
             Scale::Tiny,
-            &[Benchmark::Adi, Benchmark::Li],
-        );
+            benchmarks,
+            SimMode::Exact,
+        )
+    }
+
+    #[test]
+    fn subset_suite_runs_and_formats() {
+        let s = suite(&[Benchmark::Adi, Benchmark::Li]);
         assert_eq!(s.rows.len(), 2);
         let text = s.format_figure(4);
         assert!(text.contains("Adi"));
@@ -525,12 +472,7 @@ mod tests {
 
     #[test]
     fn averages_are_consistent() {
-        let s = SuiteResult::run_subset(
-            MachineConfig::base(),
-            AssistKind::Victim,
-            Scale::Tiny,
-            &[Benchmark::Adi],
-        );
+        let s = suite(&[Benchmark::Adi]);
         assert!(
             (s.average(Version::Selective)
                 - s.average_by_category(Category::Regular, Version::Selective))
@@ -542,12 +484,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrips_fields() {
-        let s = SuiteResult::run_subset(
-            MachineConfig::base(),
-            AssistKind::Victim,
-            Scale::Tiny,
-            &[Benchmark::TpcDQ6],
-        );
+        let s = suite(&[Benchmark::TpcDQ6]);
         let csv = s.to_csv();
         let mut lines = csv.lines();
         assert_eq!(
@@ -578,9 +515,17 @@ mod tests {
         assert!(format_region_report("adi/base", &plain).contains("not profiled"));
     }
 
+    /// The Table 3 row of one machine, from a batch of its own.
+    fn table3_row(machine: MachineConfig, benchmarks: &[Benchmark]) -> Table3Row {
+        let engine = JobEngine::default();
+        let (mut rows, _) =
+            table3_rows(&engine, &[machine], Scale::Tiny, benchmarks, SimMode::Exact);
+        rows.pop().expect("one machine in, one row out")
+    }
+
     #[test]
     fn table3_row_has_all_columns() {
-        let r = table3_row(MachineConfig::base(), Scale::Tiny, &[Benchmark::Adi, Benchmark::Perl]);
+        let r = table3_row(MachineConfig::base(), &[Benchmark::Adi, Benchmark::Perl]);
         let text = format_table3(&[r]);
         assert!(text.contains("Base Confg."));
         assert!(text.contains("Sel(vic)"));
@@ -590,10 +535,12 @@ mod tests {
     fn batched_table3_matches_per_row_runs() {
         let benchmarks = [Benchmark::Adi, Benchmark::Li];
         let machines = [MachineConfig::base(), MachineConfig::higher_mem_latency()];
-        let batched = table3_rows(&JobEngine::serial(), &machines, Scale::Tiny, &benchmarks);
+        let engine = JobEngine::serial();
+        let (batched, _) =
+            table3_rows(&engine, &machines, Scale::Tiny, &benchmarks, SimMode::Exact);
         assert_eq!(batched.len(), 2);
         for (machine, row) in machines.iter().zip(&batched) {
-            let single = table3_row(machine.clone(), Scale::Tiny, &benchmarks);
+            let single = table3_row(machine.clone(), &benchmarks);
             assert_eq!(row.machine_name, single.machine_name);
             assert_eq!(row.selective_bypass, single.selective_bypass);
             assert_eq!(row.selective_victim, single.selective_victim);

@@ -40,7 +40,7 @@ use crate::config::MachineConfig;
 use crate::executor::Executor;
 use crate::runner::{hierarchy, SimResult};
 use selcache_analysis::{select, IntervalConfig, IntervalProfiler, Representative};
-use selcache_cpu::{CpuStats, Pipeline, Predictor};
+use selcache_cpu::{Bimodal, CpuStats, Pipeline};
 use selcache_ir::{Interp, InterpCheckpoint, OpKind, Plan, Program};
 use selcache_mem::{AssistKind, HierarchyStats};
 use std::collections::HashMap;
@@ -268,7 +268,7 @@ fn measure_rep(
     // Functional warmup: caches, TLB, and predictor see every access
     // of the warmup window, but no timing accumulates.
     let mut mem = hierarchy(machine, assist, assist_state);
-    let mut predictor = Predictor::from_config(&machine.cpu);
+    let mut predictor = Bimodal::new(machine.cpu.predictor_entries);
     let mut last_fetch_block = u64::MAX;
     for _ in 0..start - warm_start {
         let Some(op) = interp.next() else { break };

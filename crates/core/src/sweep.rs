@@ -661,16 +661,6 @@ impl Sweep {
         names.join("x")
     }
 
-    /// The selective-version series of an exact sweep, keyed by the
-    /// first axis: `(value, improvement)`. Empty for analytical sweeps
-    /// (the model is assist-free and has no selective version).
-    pub fn selective_series(&self) -> Vec<(u64, f64)> {
-        self.points
-            .iter()
-            .filter_map(|p| p.improvements().map(|imp| (p.values[0], imp[3])))
-            .collect()
-    }
-
     /// CSV rendering. Exact sweeps keep the historical
     /// `value,pure_hw,pure_sw,combined,selective` shape (one leading
     /// column per axis); analytical sweeps emit estimates, exact
@@ -730,49 +720,20 @@ fn join_values(values: &[u64]) -> String {
     strs.join(",")
 }
 
-/// Convenience: an exact sweep of the main-memory latency, routed
-/// through [`SweepSpec`].
-pub fn memory_latency_sweep(
-    benchmark: Benchmark,
-    scale: Scale,
-    assist: AssistKind,
-    latencies: &[u64],
-) -> Sweep {
-    SweepSpec::new(benchmark)
-        .scale(scale)
-        .assist(assist)
-        .axis(SweepAxis::MemLatency, latencies.iter().copied())
-        .run()
-        .expect("a non-empty latency axis is always valid")
-}
-
-/// Convenience: an exact sweep of the L1 associativity, routed through
-/// [`SweepSpec`].
-pub fn l1_assoc_sweep(
-    benchmark: Benchmark,
-    scale: Scale,
-    assist: AssistKind,
-    ways: &[u64],
-) -> Sweep {
-    SweepSpec::new(benchmark)
-        .scale(scale)
-        .assist(assist)
-        .axis(SweepAxis::L1Assoc, ways.iter().copied())
-        .run()
-        .expect("a non-empty associativity axis is always valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn latency_sweep_produces_points() {
-        let s =
-            memory_latency_sweep(Benchmark::TpcDQ6, Scale::Tiny, AssistKind::Bypass, &[100, 200]);
+        let s = SweepSpec::new(Benchmark::TpcDQ6)
+            .assist(AssistKind::Bypass)
+            .axis(SweepAxis::MemLatency, [100, 200])
+            .run()
+            .unwrap();
         assert_eq!(s.points.len(), 2);
         assert_eq!(s.points[0].values, vec![100]);
-        assert_eq!(s.selective_series().len(), 2);
+        assert!(s.points.iter().all(|p| p.improvements().is_some()));
         assert_eq!(s.parameter(), "mem_latency");
         assert_eq!(s.work.trace_passes, 0);
         assert!(s.work.exact_sims > 0);
@@ -780,7 +741,11 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
-        let s = l1_assoc_sweep(Benchmark::TpcDQ6, Scale::Tiny, AssistKind::Victim, &[2, 4]);
+        let s = SweepSpec::new(Benchmark::TpcDQ6)
+            .assist(AssistKind::Victim)
+            .axis(SweepAxis::L1Assoc, [2, 4])
+            .run()
+            .unwrap();
         let csv = s.to_csv();
         assert!(csv.starts_with("l1_assoc,pure_hw,pure_sw,combined,selective\n"));
         assert_eq!(csv.lines().count(), 3);
@@ -865,7 +830,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&est.base), "{est:?}");
             assert!((0.0..=1.0).contains(&est.optimized), "{est:?}");
         }
-        assert!(sweep.selective_series().is_empty());
+        assert!(sweep.points.iter().all(|p| p.improvements().is_none()));
     }
 
     #[test]

@@ -16,12 +16,13 @@ const BENCHMARKS: [Benchmark; 2] = [Benchmark::Vpenta, Benchmark::Compress];
 #[test]
 fn parallel_suite_is_deterministic() {
     let suite = |threads: usize| {
-        SuiteResult::run_with(
+        SuiteResult::run(
             &JobEngine::new(threads),
             MachineConfig::base(),
             AssistKind::Bypass,
             Scale::Tiny,
             &BENCHMARKS,
+            SimMode::Exact,
         )
     };
     let serial = suite(1);

@@ -1,15 +1,5 @@
 //! Processor-core configuration.
 
-/// Branch-direction predictor selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PredictorKind {
-    /// Bimodal 2-bit counters (the paper's Table 1 configuration).
-    #[default]
-    Bimodal,
-    /// Gshare (global history) — an ablation alternative.
-    Gshare,
-}
-
 /// Timing model selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CpuModel {
@@ -44,8 +34,6 @@ pub struct CpuConfig {
     pub fp_units: u32,
     /// Bimodal predictor entries.
     pub predictor_entries: usize,
-    /// Which direction predictor to use.
-    pub predictor: PredictorKind,
     /// Front-end refill penalty after a mispredicted branch resolves.
     pub mispredict_penalty: u64,
     /// Integer ALU latency in cycles.
@@ -72,7 +60,6 @@ impl CpuConfig {
             int_units: 4,
             fp_units: 4,
             predictor_entries: 2048,
-            predictor: PredictorKind::Bimodal,
             mispredict_penalty: 3,
             int_latency: 1,
             fp_latency: 4,

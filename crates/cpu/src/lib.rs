@@ -35,7 +35,7 @@ mod pipeline;
 mod predictor;
 mod stats;
 
-pub use config::{CpuConfig, CpuModel, PredictorKind};
+pub use config::{CpuConfig, CpuModel};
 pub use pipeline::Pipeline;
-pub use predictor::{Bimodal, Gshare, Predictor};
+pub use predictor::Bimodal;
 pub use stats::{CpuStats, CpuStatsProbe};

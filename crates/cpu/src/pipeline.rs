@@ -13,8 +13,8 @@
 //! with respect to all later dispatches) and cost one pipeline slot each —
 //! the instruction overhead the paper accounts for.
 
-use crate::config::{CpuConfig, CpuModel, PredictorKind};
-use crate::predictor::{Bimodal, Gshare, Predictor};
+use crate::config::{CpuConfig, CpuModel};
+use crate::predictor::Bimodal;
 use crate::stats::{CpuStats, CpuStatsProbe};
 use selcache_ir::{OpKind, RegionId, TraceOp};
 use selcache_mem::{MemoryHierarchy, NullProbe, Probe, Site};
@@ -87,7 +87,7 @@ impl UnitClass {
 #[derive(Debug)]
 pub struct Pipeline {
     cfg: CpuConfig,
-    predictor: Predictor,
+    predictor: Bimodal,
     stats: CpuStatsProbe,
     ruu: VecDeque<Slot>,
     lsq_used: u32,
@@ -125,12 +125,8 @@ pub struct Pipeline {
 impl Pipeline {
     /// Creates a pipeline with fresh predictor state.
     pub fn new(cfg: CpuConfig) -> Self {
-        let predictor = match cfg.predictor {
-            PredictorKind::Bimodal => Predictor::Bimodal(Bimodal::new(cfg.predictor_entries)),
-            PredictorKind::Gshare => Predictor::Gshare(Gshare::new(cfg.predictor_entries)),
-        };
         Pipeline {
-            predictor,
+            predictor: Bimodal::new(cfg.predictor_entries),
             stats: CpuStatsProbe::default(),
             ruu: VecDeque::with_capacity(cfg.ruu_entries as usize),
             lsq_used: 0,
@@ -157,17 +153,12 @@ impl Pipeline {
 
     /// Creates a pipeline whose branch predictor starts from `predictor`
     /// (e.g. one warmed functionally by the sampled execution mode via
-    /// [`Predictor::update`]) instead of a cold table. The caller is
+    /// [`Bimodal::update`]) instead of a cold table. The caller is
     /// responsible for sizing the predictor consistently with `cfg`.
-    pub fn with_predictor(cfg: CpuConfig, predictor: Predictor) -> Self {
+    pub fn with_predictor(cfg: CpuConfig, predictor: Bimodal) -> Self {
         let mut p = Pipeline::new(cfg);
         p.predictor = predictor;
         p
-    }
-
-    /// The pipeline's branch predictor.
-    pub fn predictor(&self) -> &Predictor {
-        &self.predictor
     }
 
     /// Runs the given trace to completion against `mem` and returns the

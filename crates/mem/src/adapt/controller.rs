@@ -56,9 +56,8 @@ pub struct ControllerConfig {
     /// Distinct regions tracked; later regions share the overflow slot
     /// (which also serves `RegionId::NONE`).
     pub max_regions: usize,
-    /// Enable the regular/irregular L1 way duel ([`super::WayDuel`]).
-    pub way_partition: bool,
-    /// Way-duel floor: neither side ever shrinks below this many ways.
+    /// Way-duel floor: neither side of the regular/irregular L1 way duel
+    /// ([`super::WayDuel`]) ever shrinks below this many ways.
     pub min_ways: u32,
     /// L1d accesses per way-duel adjustment interval.
     pub duel_accesses: u32,
@@ -72,7 +71,6 @@ impl Default for ControllerConfig {
             hysteresis_pct: 25,
             hysteresis_intervals: 2,
             max_regions: 64,
-            way_partition: true,
             min_ways: 1,
             duel_accesses: 4096,
         }

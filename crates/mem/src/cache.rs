@@ -5,21 +5,8 @@ use crate::stats::{CacheStats, MissClass};
 use crate::table::PagedBits;
 use selcache_ir::Addr;
 
-/// Replacement policy for a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Replacement {
-    /// Least recently used (the paper's configuration).
-    #[default]
-    Lru,
-    /// First-in first-out.
-    Fifo,
-    /// Pseudo-random (deterministic xorshift).
-    Random,
-    /// Tree pseudo-LRU (requires power-of-two associativity).
-    Plru,
-}
-
-/// Geometry and policy of one cache.
+/// Geometry of one cache; replacement is always least recently used, the
+/// paper's configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -28,14 +15,12 @@ pub struct CacheConfig {
     pub assoc: u32,
     /// Block (line) size in bytes.
     pub block_size: u64,
-    /// Replacement policy.
-    pub replacement: Replacement,
 }
 
 impl CacheConfig {
     /// A cache of `size_kib` KiB with the given associativity and block size.
     pub fn kib(size_kib: u64, assoc: u32, block_size: u64) -> Self {
-        CacheConfig { size: size_kib * 1024, assoc, block_size, replacement: Replacement::Lru }
+        CacheConfig { size: size_kib * 1024, assoc, block_size }
     }
 
     /// Number of sets.
@@ -117,9 +102,6 @@ pub struct Cache {
     /// numbers are computed with a shift.
     block_shift: u32,
     assoc: usize,
-    /// Tree-PLRU direction bits per set (used when the policy is
-    /// [`Replacement::Plru`]).
-    plru: Vec<u64>,
     stamp: u64,
     stats: CacheStats,
     /// Fully-associative LRU shadow of equal capacity, for conflict-miss
@@ -127,7 +109,6 @@ pub struct Cache {
     shadow: Option<LruSet>,
     /// Blocks ever referenced (compulsory-miss detection).
     seen: PagedBits,
-    rng: u64,
     /// Per-line way-duel ownership tags (0 untagged, 1 regular,
     /// 2 irregular), allocated lazily by [`Cache::fill_partitioned`].
     owner: Option<Box<[u8]>>,
@@ -147,9 +128,6 @@ impl Cache {
     fn build(cfg: CacheConfig, classify: bool) -> Self {
         assert!(cfg.block_size.is_power_of_two(), "block size must be a power of two");
         assert!(cfg.assoc > 0, "associativity must be positive");
-        if cfg.replacement == Replacement::Plru {
-            assert!(cfg.assoc.is_power_of_two(), "tree PLRU needs power-of-two associativity");
-        }
         let sets = cfg.num_sets();
         Cache {
             cfg,
@@ -160,12 +138,10 @@ impl Cache {
             set_pow2: sets.is_power_of_two(),
             block_shift: cfg.block_size.trailing_zeros(),
             assoc: cfg.assoc as usize,
-            plru: vec![0; sets as usize],
             stamp: 0,
             stats: CacheStats::default(),
             shadow: classify.then(|| LruSet::new(cfg.num_lines() as usize)),
             seen: PagedBits::new(),
-            rng: 0x9E37_79B9_7F4A_7C15,
             owner: None,
         }
     }
@@ -211,7 +187,6 @@ impl Cache {
         let si = self.set_index(block);
         let base = si * self.assoc;
         let stamp = self.stamp;
-        let is_lru = self.cfg.replacement == Replacement::Lru;
         // MRU-way fast path: a block lives in at most one way, so a hint
         // match is the same way the associative scan would find.
         let hint = self.mru[si] as usize;
@@ -225,15 +200,10 @@ impl Cache {
         };
         if let Some(way) = way {
             let line = &mut self.lines[base + way];
-            if is_lru {
-                line.stamp = stamp;
-            }
+            line.stamp = stamp;
             line.dirty |= write;
             self.mru[si] = way as u32;
             self.stats.hits += 1;
-            if self.cfg.replacement == Replacement::Plru {
-                self.plru_touch(si, way);
-            }
             if let Some(shadow) = &mut self.shadow {
                 shadow.insert(block, false);
             }
@@ -274,14 +244,11 @@ impl Cache {
         let si = self.set_index(block);
         let base = si * self.assoc;
         let stamp = self.stamp;
-        let is_lru = self.cfg.replacement == Replacement::Lru;
         if let Some(line) =
             self.lines[base..base + self.assoc].iter_mut().find(|l| l.valid && l.block == block)
         {
             line.dirty |= dirty;
-            if is_lru {
-                line.stamp = stamp;
-            }
+            line.stamp = stamp;
             return None;
         }
         let way = self.choose_victim(si);
@@ -294,9 +261,6 @@ impl Cache {
         }
         *line = Line { block, valid: true, dirty, stamp };
         self.mru[si] = way as u32;
-        if self.cfg.replacement == Replacement::Plru {
-            self.plru_touch(si, way);
-        }
         evicted
     }
 
@@ -305,9 +269,7 @@ impl Cache {
     /// `max_ways` ways of the set: a side at its quota evicts the oldest of
     /// its *own* lines, a side under quota takes the oldest line of the
     /// *other* side. Quotas of 0 or ≥ associativity cannot bind and fall
-    /// back to the plain replacement policy. Victim age is the LRU/FIFO
-    /// stamp regardless of the configured policy (the partitioned path is
-    /// only engaged by the adaptive controller, whose caches are LRU).
+    /// back to a plain [`Cache::fill`].
     pub fn fill_partitioned(
         &mut self,
         block: u64,
@@ -334,15 +296,12 @@ impl Cache {
         let si = self.set_index(block);
         let base = si * self.assoc;
         let stamp = self.stamp;
-        let is_lru = self.cfg.replacement == Replacement::Lru;
         if let Some(way) =
             self.lines[base..base + self.assoc].iter().position(|l| l.valid && l.block == block)
         {
             let line = &mut self.lines[base + way];
             line.dirty |= dirty;
-            if is_lru {
-                line.stamp = stamp;
-            }
+            line.stamp = stamp;
             self.owner.as_mut().expect("allocated above")[base + way] = side;
             return None;
         }
@@ -383,9 +342,6 @@ impl Cache {
         *line = Line { block, valid: true, dirty, stamp };
         self.owner.as_mut().expect("allocated above")[base + way] = side;
         self.mru[si] = way as u32;
-        if self.cfg.replacement == Replacement::Plru {
-            self.plru_touch(si, way);
-        }
         evicted
     }
 
@@ -403,68 +359,15 @@ impl Cache {
         Some(Eviction { block: line.block, dirty: line.dirty })
     }
 
+    /// The least recently used way of set `si`.
     fn peek_victim(&self, si: usize) -> usize {
-        // Deterministic preview matching choose_victim for LRU/FIFO; for
-        // Random the preview is the oldest line (an approximation used only
-        // by assist decision logic).
         self.set(si).iter().enumerate().min_by_key(|(_, l)| l.stamp).map(|(i, _)| i).unwrap_or(0)
     }
 
-    fn choose_victim(&mut self, si: usize) -> usize {
-        if let Some(way) = self.set(si).iter().position(|l| !l.valid) {
-            return way;
-        }
-        match self.cfg.replacement {
-            Replacement::Lru | Replacement::Fifo => self.peek_victim(si),
-            Replacement::Plru => self.plru_victim(si),
-            Replacement::Random => {
-                // xorshift64*
-                self.rng ^= self.rng >> 12;
-                self.rng ^= self.rng << 25;
-                self.rng ^= self.rng >> 27;
-                (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % self.cfg.assoc as u64) as usize
-            }
-        }
-    }
-
-    /// Marks `way` most-recently-used in the PLRU tree: flip each node on
-    /// the root-to-leaf path to point *away* from the way.
-    fn plru_touch(&mut self, si: usize, way: usize) {
-        let assoc = self.cfg.assoc as usize;
-        if assoc == 1 {
-            return;
-        }
-        let bits = &mut self.plru[si];
-        let mut node = 1usize; // 1-indexed heap node
-        let levels = assoc.trailing_zeros();
-        for level in (0..levels).rev() {
-            let dir = (way >> level) & 1;
-            // Point the node away from the chosen child.
-            if dir == 0 {
-                *bits |= 1 << (node - 1);
-            } else {
-                *bits &= !(1 << (node - 1));
-            }
-            node = node * 2 + dir;
-        }
-    }
-
-    /// Follows the PLRU direction bits to the pseudo-least-recently-used way.
-    fn plru_victim(&self, si: usize) -> usize {
-        let assoc = self.cfg.assoc as usize;
-        if assoc == 1 {
-            return 0;
-        }
-        let bits = self.plru[si];
-        let levels = assoc.trailing_zeros();
-        let mut node = 1usize;
-        let mut way = 0usize;
-        for _ in 0..levels {
-            let dir = ((bits >> (node - 1)) & 1) as usize;
-            way = way * 2 + dir;
-            node = node * 2 + dir;
-        }
-        way
+    /// The way a fill into set `si` takes: the first invalid way, else the
+    /// least recently used one.
+    fn choose_victim(&self, si: usize) -> usize {
+        self.set(si).iter().position(|l| !l.valid).unwrap_or_else(|| self.peek_victim(si))
     }
 
     /// Removes `block`, returning its dirty bit if it was present.
@@ -488,12 +391,7 @@ mod tests {
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 32B = 256B
-        Cache::with_classification(CacheConfig {
-            size: 256,
-            assoc: 2,
-            block_size: 32,
-            replacement: Replacement::Lru,
-        })
+        Cache::with_classification(CacheConfig { size: 256, assoc: 2, block_size: 32 })
     }
 
     #[test]
@@ -619,82 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn random_replacement_is_deterministic() {
-        let mk = || {
-            let mut c = Cache::new(CacheConfig {
-                size: 256,
-                assoc: 2,
-                block_size: 32,
-                replacement: Replacement::Random,
-            });
-            let mut evictions = Vec::new();
-            for b in (0..40).map(|i| i * 4) {
-                if let Some(e) = c.fill(b, false) {
-                    evictions.push(e.block);
-                }
-            }
-            evictions
-        };
-        assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn plru_two_way_matches_lru() {
-        // With 2 ways, tree PLRU is exact LRU.
-        let mk =
-            |rep| Cache::new(CacheConfig { size: 256, assoc: 2, block_size: 32, replacement: rep });
-        let mut plru = mk(Replacement::Plru);
-        let mut lru = mk(Replacement::Lru);
-        let mut state = 41u64;
-        for _ in 0..500 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let b = (state >> 32) % 24;
-            let (hp, hl) = (plru.access(b, false).is_hit(), lru.access(b, false).is_hit());
-            assert_eq!(hp, hl, "divergence at block {b}");
-            if !hp {
-                let ep = plru.fill(b, false).map(|e| e.block);
-                let el = lru.fill(b, false).map(|e| e.block);
-                assert_eq!(ep, el);
-            }
-        }
-    }
-
-    #[test]
-    fn plru_victim_is_not_most_recent() {
-        let mut c = Cache::new(CacheConfig {
-            size: 4 * 32,
-            assoc: 4,
-            block_size: 32,
-            replacement: Replacement::Plru,
-        });
-        for b in 0..4 {
-            c.fill(b, false);
-        }
-        // Touch block 2: it must not be the next victim.
-        c.access(2, false);
-        let e = c.fill(10, false).unwrap();
-        assert_ne!(e.block, 2, "PLRU evicted the most recently used line");
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two associativity")]
-    fn plru_requires_power_of_two_ways() {
-        let _ = Cache::new(CacheConfig {
-            size: 96,
-            assoc: 3,
-            block_size: 32,
-            replacement: Replacement::Plru,
-        });
-    }
-
-    #[test]
     fn classification_counts_pinned() {
         // Regression guard for the single-touch shadow restructuring: exact
         // hit/miss/class counts captured from the original two-touch
         // (`contains` + `insert`) miss path. Any drift in classification or
         // recency behavior changes these numbers.
-        let cfg =
-            CacheConfig { size: 1024, assoc: 2, block_size: 32, replacement: Replacement::Lru };
+        let cfg = CacheConfig { size: 1024, assoc: 2, block_size: 32 };
         let mut c = Cache::with_classification(cfg);
         let mut state = 0x1234_5678_9ABC_DEF0u64;
         for _ in 0..20_000u64 {
@@ -716,12 +544,7 @@ mod tests {
     #[test]
     fn partitioned_fill_respects_quota_and_grows_under_it() {
         // 1 set x 4 ways.
-        let mut c = Cache::new(CacheConfig {
-            size: 4 * 32,
-            assoc: 4,
-            block_size: 32,
-            replacement: Replacement::Lru,
-        });
+        let mut c = Cache::new(CacheConfig { size: 4 * 32, assoc: 4, block_size: 32 });
         // Regular side fills the whole set.
         for b in 0..4 {
             assert_eq!(c.fill_partitioned(b, false, false, 3), None);
@@ -748,18 +571,13 @@ mod tests {
             let blk = (state >> 33) % 30;
             let ea = a.fill(blk, state & 1 == 1);
             let eb = b.fill_partitioned(blk, state & 1 == 1, state & 2 == 2, b.cfg.assoc);
-            assert_eq!(ea, eb, "unbinding quota must reduce to plain replacement");
+            assert_eq!(ea, eb, "unbinding quota must reduce to plain LRU");
         }
     }
 
     #[test]
     fn partitioned_refresh_retags_a_present_line() {
-        let mut c = Cache::new(CacheConfig {
-            size: 2 * 32,
-            assoc: 2,
-            block_size: 32,
-            replacement: Replacement::Lru,
-        });
+        let mut c = Cache::new(CacheConfig { size: 2 * 32, assoc: 2, block_size: 32 });
         assert_eq!(c.fill_partitioned(0, false, false, 1), None);
         assert_eq!(c.fill_partitioned(1, false, false, 1), None);
         assert_eq!(c.fill_partitioned(0, true, true, 1), None, "present: refresh, no eviction");

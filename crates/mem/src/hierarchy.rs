@@ -77,8 +77,6 @@ pub struct HierarchyConfig {
     pub l2_victim_entries: usize,
     /// Stream-buffer parameters (used when `assist == Stream`).
     pub stream: crate::stream::StreamConfig,
-    /// Enable three-C miss classification (costs some simulation speed).
-    pub classify_misses: bool,
     /// Online per-region assist controller. When set, both the bypass and
     /// victim structures are built and the controller picks among
     /// {off, bypass, victim} per region at run time (the [`AssistKind`]
@@ -111,7 +109,6 @@ impl HierarchyConfig {
             l1_victim_entries: 64,
             l2_victim_entries: 512,
             stream: crate::stream::StreamConfig::default(),
-            classify_misses: true,
             controller: None,
         }
     }
@@ -151,13 +148,6 @@ impl MemoryHierarchy {
     /// Builds a hierarchy; the assist starts *enabled* (matching the pure
     /// hardware and combined versions; the selective version toggles it).
     pub fn new(cfg: HierarchyConfig) -> Self {
-        let mk = |c: CacheConfig, classify: bool| {
-            if classify {
-                Cache::with_classification(c)
-            } else {
-                Cache::new(c)
-            }
-        };
         // A controller arbitrates between bypassing and victim caching at
         // run time, so it needs both structures built regardless of the
         // static assist selection.
@@ -171,13 +161,12 @@ impl MemoryHierarchy {
         let stream = (cfg.assist == AssistKind::Stream)
             .then(|| crate::stream::StreamBuffers::new(cfg.stream));
         let adapt = cfg.controller.map(AdaptController::new);
-        let duel = cfg.controller.and_then(|ctl| {
-            ctl.way_partition.then(|| WayDuel::new(cfg.l1d.assoc, ctl.min_ways, ctl.duel_accesses))
-        });
+        let duel =
+            cfg.controller.map(|ctl| WayDuel::new(cfg.l1d.assoc, ctl.min_ways, ctl.duel_accesses));
         MemoryHierarchy {
-            l1d: mk(cfg.l1d, cfg.classify_misses),
-            l1i: mk(cfg.l1i, false),
-            l2: mk(cfg.l2, cfg.classify_misses),
+            l1d: Cache::with_classification(cfg.l1d),
+            l1i: Cache::new(cfg.l1i),
+            l2: Cache::with_classification(cfg.l2),
             dtlb: Tlb::new(cfg.dtlb),
             itlb: Tlb::new(cfg.itlb),
             bypass,
@@ -608,21 +597,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Read access to the bypass engine (for ablation studies).
-    pub fn bypass_engine(&self) -> Option<&BypassEngine> {
-        self.bypass.as_ref()
-    }
-
-    /// Read access to the adaptive controller (`None` for static runs).
-    pub fn adapt_controller(&self) -> Option<&AdaptController> {
-        self.adapt.as_ref()
-    }
-
-    /// Read access to the adaptive way duel (`None` when absent).
-    pub fn way_duel(&self) -> Option<&WayDuel> {
-        self.duel.as_ref()
-    }
-
     /// Applies a data access *functionally*: cache, TLB, and assist state
     /// advance exactly as under [`MemoryHierarchy::data_access`], but the
     /// computed latency is discarded. Timing never feeds back into which
@@ -844,14 +818,14 @@ mod tests {
         for _ in 0..64 {
             p.data(hot, false);
         }
-        let count_before = p.h.bypass_engine().unwrap().mat().count(hot);
+        let count_before = p.h.bypass.as_ref().unwrap().mat().count(hot);
         p.h.set_assist_enabled(false);
         for _ in 0..64 {
             p.data(Addr(0x2000_0000), false);
         }
         // MAT was not updated while off.
-        assert_eq!(p.h.bypass_engine().unwrap().mat().count(hot), count_before);
-        assert_eq!(p.h.bypass_engine().unwrap().mat().count(Addr(0x2000_0000)), 0);
+        assert_eq!(p.h.bypass.as_ref().unwrap().mat().count(hot), count_before);
+        assert_eq!(p.h.bypass.as_ref().unwrap().mat().count(Addr(0x2000_0000)), 0);
     }
 
     #[test]
@@ -1029,7 +1003,7 @@ mod tests {
             tp += plain.data_access_probed(conflict_addr(i), false, now, site, &mut NullProbe);
         }
         assert!(td < tp, "dynamic ({td}) should beat assist-off ({tp}) on conflict traffic");
-        let ctl = dynamic.adapt_controller().expect("controller attached");
+        let ctl = dynamic.adapt.as_ref().expect("controller attached");
         assert_ne!(ctl.policy(RegionId(0)), AssistChoice::Off, "an assist should be locked in");
         let s = dynamic.stats();
         assert!(s.assist.adapt_switches > 0, "explore rotations are switches");
@@ -1050,7 +1024,7 @@ mod tests {
         assert_eq!(s.assist.adapt_switches, 0, "controller must not act while off");
         assert_eq!(s.assist.assisted_accesses, 0);
         assert_eq!(s.assist.l1_victim_hits + s.assist.bypass_buffer_hits, 0);
-        assert_eq!(h.adapt_controller().unwrap().policy(RegionId(1)), AssistChoice::Off);
+        assert_eq!(h.adapt.as_ref().unwrap().policy(RegionId(1)), AssistChoice::Off);
         // Re-enabling thaws it: the controller resumes from its initial
         // explore state and starts rotating candidates again.
         h.set_assist_enabled(true);
@@ -1096,14 +1070,14 @@ mod tests {
         let mut h = MemoryHierarchy::new(dynamic_cfg());
         let site = Site::new(0x400, RegionId(0));
         let assoc = h.config().l1d.assoc;
-        let start = h.way_duel().unwrap().side_quota(true);
+        let start = h.duel.as_ref().unwrap().side_quota(true);
         let mut now = 0;
         for i in 0..40_000u64 {
             now += 100;
             // A wide streaming pattern that misses regardless of assist.
             h.data_access_probed(Addr(0x2000_0000 + i * 64), false, now, site, &mut NullProbe);
         }
-        let duel = h.way_duel().unwrap();
+        let duel = h.duel.as_ref().unwrap();
         assert!(duel.adjustments() > 0, "one-sided pressure should move ways");
         assert!(duel.side_quota(true) <= start);
         assert_eq!(duel.side_quota(true) + duel.side_quota(false), assoc);

@@ -37,7 +37,7 @@ mod victim;
 
 pub use adapt::{AdaptController, AssistChoice, ControllerConfig, Decision, WayDuel};
 pub use bypass::{BufferEviction, BypassConfig, BypassEngine, FillDecision};
-pub use cache::{Cache, CacheConfig, Eviction, Lookup, Replacement};
+pub use cache::{Cache, CacheConfig, Eviction, Lookup};
 pub use hierarchy::{AssistKind, HierarchyConfig, MemoryHierarchy};
 pub use lru::LruSet;
 pub use mat::{Mat, MatConfig};

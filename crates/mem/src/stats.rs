@@ -43,15 +43,6 @@ impl CacheStats {
         }
     }
 
-    /// Fraction of misses classified as conflict misses.
-    pub fn conflict_share(&self) -> f64 {
-        if self.misses == 0 {
-            0.0
-        } else {
-            self.conflict as f64 / self.misses as f64
-        }
-    }
-
     /// Counter deltas accumulated since `earlier` (a baseline snapshot of
     /// the same cache). Saturating, so a rewound counter yields 0 rather
     /// than wrapping.
@@ -212,14 +203,13 @@ mod tests {
         }
         assert_eq!(s.misses, 10);
         assert!((s.miss_rate() - 0.10).abs() < 1e-12);
-        assert!((s.conflict_share() - 0.10).abs() < 1e-12);
+        assert_eq!((s.compulsory, s.capacity, s.conflict), (8, 1, 1));
     }
 
     #[test]
     fn empty_rates_are_zero() {
         let s = CacheStats::default();
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.conflict_share(), 0.0);
     }
 
     #[test]

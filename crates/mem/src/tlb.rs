@@ -1,6 +1,6 @@
 //! Translation lookaside buffer model.
 
-use crate::cache::{Cache, CacheConfig, Replacement};
+use crate::cache::{Cache, CacheConfig};
 use selcache_ir::Addr;
 
 /// TLB geometry and miss penalty.
@@ -51,7 +51,6 @@ impl Tlb {
             size: cfg.entries as u64 * cfg.page_size,
             assoc: cfg.assoc,
             block_size: cfg.page_size,
-            replacement: Replacement::Lru,
         };
         Tlb {
             cache: Cache::new(cache_cfg),

@@ -1,17 +1,17 @@
-//! Differential test: the flattened cache must behave bit-identically to the
-//! original nested-`Vec` geometry for every replacement policy.
+//! Differential test: the flattened LRU cache must behave bit-identically to
+//! the original nested-`Vec` geometry.
 //!
 //! `reference` below is a scalar re-model of the pre-flattening cache: one
 //! `Vec<Line>` per set, a `HashSet` first-touch tracker, and an O(n)
 //! fully-associative LRU shadow. Both models are driven through the same
-//! 100k-access mixed workload (accesses, fills, invalidations) per policy and
-//! must agree on every lookup result, every eviction, and the final
-//! `CacheStats` including the three-C classification.
+//! 100k-access mixed workload (accesses, fills, invalidations) and must agree
+//! on every lookup result, every eviction, and the final `CacheStats`
+//! including the three-C classification.
 
-use selcache_mem::{Cache, CacheConfig, Lookup, Replacement};
+use selcache_mem::{Cache, CacheConfig, Lookup};
 
 mod reference {
-    use selcache_mem::{CacheConfig, MissClass, Replacement};
+    use selcache_mem::{CacheConfig, MissClass};
     use std::collections::HashSet;
 
     #[derive(Debug, Clone, Copy, Default)]
@@ -51,7 +51,6 @@ mod reference {
     pub struct RefCache {
         cfg: CacheConfig,
         sets: Vec<Vec<Line>>,
-        plru: Vec<u64>,
         stamp: u64,
         pub accesses: u64,
         pub hits: u64,
@@ -62,7 +61,6 @@ mod reference {
         pub writebacks: u64,
         shadow: SlowShadow,
         seen: HashSet<u64>,
-        rng: u64,
     }
 
     impl RefCache {
@@ -71,7 +69,6 @@ mod reference {
             RefCache {
                 cfg,
                 sets: vec![vec![Line::default(); cfg.assoc as usize]; sets as usize],
-                plru: vec![0; sets as usize],
                 stamp: 0,
                 accesses: 0,
                 hits: 0,
@@ -82,7 +79,6 @@ mod reference {
                 writebacks: 0,
                 shadow: SlowShadow { order: Vec::new(), capacity: cfg.num_lines() as usize },
                 seen: HashSet::new(),
-                rng: 0x9E37_79B9_7F4A_7C15,
             }
         }
 
@@ -96,17 +92,10 @@ mod reference {
             self.accesses += 1;
             let si = self.set_index(block);
             let stamp = self.stamp;
-            let is_lru = self.cfg.replacement == Replacement::Lru;
-            if let Some(way) = self.sets[si].iter().position(|l| l.valid && l.block == block) {
-                let line = &mut self.sets[si][way];
-                if is_lru {
-                    line.stamp = stamp;
-                }
+            if let Some(line) = self.sets[si].iter_mut().find(|l| l.valid && l.block == block) {
+                line.stamp = stamp;
                 line.dirty |= write;
                 self.hits += 1;
-                if self.cfg.replacement == Replacement::Plru {
-                    self.plru_touch(si, way);
-                }
                 self.shadow.insert(block, false);
                 return None;
             }
@@ -133,12 +122,9 @@ mod reference {
             self.stamp += 1;
             let si = self.set_index(block);
             let stamp = self.stamp;
-            let is_lru = self.cfg.replacement == Replacement::Lru;
             if let Some(line) = self.sets[si].iter_mut().find(|l| l.valid && l.block == block) {
                 line.dirty |= dirty;
-                if is_lru {
-                    line.stamp = stamp;
-                }
+                line.stamp = stamp;
                 return None;
             }
             let way = self.choose_victim(si);
@@ -150,9 +136,6 @@ mod reference {
                 }
             }
             *line = Line { block, valid: true, dirty, stamp };
-            if self.cfg.replacement == Replacement::Plru {
-                self.plru_touch(si, way);
-            }
             evicted
         }
 
@@ -194,56 +177,11 @@ mod reference {
                 .unwrap_or(0)
         }
 
-        fn choose_victim(&mut self, si: usize) -> usize {
-            if let Some(way) = self.sets[si].iter().position(|l| !l.valid) {
-                return way;
+        fn choose_victim(&self, si: usize) -> usize {
+            match self.sets[si].iter().position(|l| !l.valid) {
+                Some(way) => way,
+                None => self.peek_victim(si),
             }
-            match self.cfg.replacement {
-                Replacement::Lru | Replacement::Fifo => self.peek_victim(si),
-                Replacement::Plru => self.plru_victim(si),
-                Replacement::Random => {
-                    self.rng ^= self.rng >> 12;
-                    self.rng ^= self.rng << 25;
-                    self.rng ^= self.rng >> 27;
-                    (self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % self.cfg.assoc as u64) as usize
-                }
-            }
-        }
-
-        fn plru_touch(&mut self, si: usize, way: usize) {
-            let assoc = self.cfg.assoc as usize;
-            if assoc == 1 {
-                return;
-            }
-            let bits = &mut self.plru[si];
-            let mut node = 1usize;
-            let levels = assoc.trailing_zeros();
-            for level in (0..levels).rev() {
-                let dir = (way >> level) & 1;
-                if dir == 0 {
-                    *bits |= 1 << (node - 1);
-                } else {
-                    *bits &= !(1 << (node - 1));
-                }
-                node = node * 2 + dir;
-            }
-        }
-
-        fn plru_victim(&self, si: usize) -> usize {
-            let assoc = self.cfg.assoc as usize;
-            if assoc == 1 {
-                return 0;
-            }
-            let bits = self.plru[si];
-            let levels = assoc.trailing_zeros();
-            let mut node = 1usize;
-            let mut way = 0usize;
-            for _ in 0..levels {
-                let dir = ((bits >> (node - 1)) & 1) as usize;
-                way = way * 2 + dir;
-                node = node * 2 + dir;
-            }
-            way
         }
     }
 }
@@ -261,14 +199,15 @@ impl Stream {
     }
 }
 
-fn drive(replacement: Replacement) {
+#[test]
+fn lru_matches_reference() {
     // 4KiB, 4-way, 32B blocks: 32 sets, 128 lines. The block universe is 4x
     // the cache capacity with a strided hot region, so all three miss classes
-    // occur under every policy.
-    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32, replacement };
+    // occur.
+    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32 };
     let mut flat = Cache::with_classification(cfg);
     let mut refc = reference::RefCache::new(cfg);
-    let mut s = Stream(0xDEAD_BEEF ^ replacement as u64);
+    let mut s = Stream(0xDEAD_BEEF);
 
     for step in 0..100_000u64 {
         let r = s.next();
@@ -281,39 +220,35 @@ fn drive(replacement: Replacement) {
                 match (got, want) {
                     (Lookup::Hit, None) => {}
                     (Lookup::Miss(a), Some(b)) => {
-                        assert_eq!(a, b, "{replacement:?} step {step}: class mismatch");
+                        assert_eq!(a, b, "step {step}: class mismatch");
                         let ev_flat = flat.fill(block, write).map(|e| (e.block, e.dirty));
                         let ev_ref = refc.fill(block, write);
-                        assert_eq!(ev_flat, ev_ref, "{replacement:?} step {step}: eviction");
+                        assert_eq!(ev_flat, ev_ref, "step {step}: eviction");
                     }
-                    (a, b) => panic!("{replacement:?} step {step}: {a:?} vs {b:?}"),
+                    (a, b) => panic!("step {step}: {a:?} vs {b:?}"),
                 }
             }
             85..=91 => {
                 let ev_flat = flat.fill(block, r & 8 != 0).map(|e| (e.block, e.dirty));
                 let ev_ref = refc.fill(block, r & 8 != 0);
-                assert_eq!(ev_flat, ev_ref, "{replacement:?} step {step}: bare fill");
+                assert_eq!(ev_flat, ev_ref, "step {step}: bare fill");
             }
             92..=95 => {
                 assert_eq!(
                     flat.invalidate(block),
                     refc.invalidate(block),
-                    "{replacement:?} step {step}: invalidate"
+                    "step {step}: invalidate"
                 );
             }
             96..=97 => {
                 assert_eq!(
                     flat.victim_for(block).map(|e| (e.block, e.dirty)),
                     refc.victim_for(block),
-                    "{replacement:?} step {step}: victim preview"
+                    "step {step}: victim preview"
                 );
             }
             _ => {
-                assert_eq!(
-                    flat.probe(block),
-                    refc.probe(block),
-                    "{replacement:?} step {step}: probe"
-                );
+                assert_eq!(flat.probe(block), refc.probe(block), "step {step}: probe");
             }
         }
     }
@@ -322,38 +257,18 @@ fn drive(replacement: Replacement) {
     assert_eq!(
         (st.accesses, st.hits, st.misses),
         (refc.accesses, refc.hits, refc.misses),
-        "{replacement:?}: aggregate counts"
+        "aggregate counts"
     );
     assert_eq!(
         (st.compulsory, st.capacity, st.conflict),
         (refc.compulsory, refc.capacity, refc.conflict),
-        "{replacement:?}: three-C classification"
+        "three-C classification"
     );
-    assert_eq!(st.writebacks, refc.writebacks, "{replacement:?}: writebacks");
-    assert_eq!(flat.resident(), refc.resident(), "{replacement:?}: resident lines");
-    assert!(st.misses > 0 && st.hits > 0, "{replacement:?}: workload must mix hits and misses");
+    assert_eq!(st.writebacks, refc.writebacks, "writebacks");
+    assert_eq!(flat.resident(), refc.resident(), "resident lines");
+    assert!(st.misses > 0 && st.hits > 0, "workload must mix hits and misses");
     assert!(
         st.compulsory > 0 && st.capacity > 0 && st.conflict > 0,
-        "{replacement:?}: workload must exercise all three miss classes"
+        "workload must exercise all three miss classes"
     );
-}
-
-#[test]
-fn lru_matches_reference() {
-    drive(Replacement::Lru);
-}
-
-#[test]
-fn fifo_matches_reference() {
-    drive(Replacement::Fifo);
-}
-
-#[test]
-fn random_matches_reference() {
-    drive(Replacement::Random);
-}
-
-#[test]
-fn plru_matches_reference() {
-    drive(Replacement::Plru);
 }

@@ -6,7 +6,9 @@
 //! cargo run --release --example parallel_suite [-- <threads>]
 //! ```
 
-use selcache::core::{AssistKind, Benchmark, JobEngine, MachineConfig, Scale, SuiteResult};
+use selcache::core::{
+    AssistKind, Benchmark, JobEngine, MachineConfig, Scale, SimMode, SuiteResult,
+};
 use std::time::Instant;
 
 fn main() {
@@ -19,12 +21,13 @@ fn main() {
     let benchmarks = &Benchmark::ALL;
     let run = |engine: &JobEngine| {
         let start = Instant::now();
-        let suite = SuiteResult::run_with(
+        let suite = SuiteResult::run(
             engine,
             MachineConfig::base(),
             AssistKind::Bypass,
             scale,
             benchmarks,
+            SimMode::Exact,
         );
         (suite, start.elapsed())
     };

@@ -1,11 +1,25 @@
 //! Integration tests asserting the paper's qualitative claims hold in the
 //! reproduction (at `Scale::Tiny`, so they run quickly in CI).
 
-use selcache::core::{AssistKind, Experiment, MachineConfig, SuiteResult, Version};
+use selcache::core::{
+    AssistKind, Experiment, JobEngine, MachineConfig, SimMode, SuiteResult, Version,
+};
 use selcache::workloads::{Benchmark, Scale};
 
 fn experiment(assist: AssistKind) -> Experiment {
     Experiment::new(MachineConfig::base(), assist)
+}
+
+/// An exact suite over `benchmarks` at tiny scale.
+fn suite(machine: MachineConfig, assist: AssistKind, benchmarks: &[Benchmark]) -> SuiteResult {
+    SuiteResult::run(
+        &JobEngine::default(),
+        machine,
+        assist,
+        Scale::Tiny,
+        benchmarks,
+        SimMode::Exact,
+    )
 }
 
 fn improvements(exp: &Experiment, bm: Benchmark) -> [f64; 4] {
@@ -77,10 +91,9 @@ fn victim_cache_never_hurts_much() {
 fn selective_beats_combined_on_average() {
     // Paper: the selective strategy brings 7.6pp more than combined on
     // average; we assert the ordering, not the magnitude.
-    let suite = SuiteResult::run_subset(
+    let suite = suite(
         MachineConfig::base(),
         AssistKind::Bypass,
-        Scale::Tiny,
         &[
             Benchmark::Swim,
             Benchmark::Chaos,
@@ -141,18 +154,9 @@ fn selective_runs_with_markers_and_toggles() {
 fn higher_associativity_shrinks_improvements() {
     // Paper Figures 8/9: raising associativity reduces the impact of every
     // scheme (conflicts shrink).
-    let base_suite = SuiteResult::run_subset(
-        MachineConfig::base(),
-        AssistKind::Bypass,
-        Scale::Tiny,
-        &[Benchmark::Vpenta],
-    );
-    let high_assoc = SuiteResult::run_subset(
-        MachineConfig::higher_l1_assoc(),
-        AssistKind::Bypass,
-        Scale::Tiny,
-        &[Benchmark::Vpenta],
-    );
+    let base_suite = suite(MachineConfig::base(), AssistKind::Bypass, &[Benchmark::Vpenta]);
+    let high_assoc =
+        suite(MachineConfig::higher_l1_assoc(), AssistKind::Bypass, &[Benchmark::Vpenta]);
     assert!(
         high_assoc.average(Version::Selective) <= base_suite.average(Version::Selective) + 1.0,
         "8-way L1 should not increase vpenta's improvement: {} vs {}",

@@ -1,8 +1,20 @@
 //! Whole-suite shape assertions on a representative cross-section — the
 //! orderings the paper's conclusion rests on, checked per category.
 
-use selcache::core::{AssistKind, MachineConfig, Scale, SuiteResult, Version};
+use selcache::core::{AssistKind, JobEngine, MachineConfig, Scale, SimMode, SuiteResult, Version};
 use selcache::workloads::{Benchmark, Category};
+
+/// An exact suite over `benchmarks` at tiny scale.
+fn suite(machine: MachineConfig, assist: AssistKind, benchmarks: &[Benchmark]) -> SuiteResult {
+    SuiteResult::run(
+        &JobEngine::default(),
+        machine,
+        assist,
+        Scale::Tiny,
+        benchmarks,
+        SimMode::Exact,
+    )
+}
 
 fn cross_section() -> [Benchmark; 6] {
     [
@@ -17,12 +29,7 @@ fn cross_section() -> [Benchmark; 6] {
 
 #[test]
 fn category_ordering_matches_paper() {
-    let suite = SuiteResult::run_subset(
-        MachineConfig::base(),
-        AssistKind::Bypass,
-        Scale::Tiny,
-        &cross_section(),
-    );
+    let suite = suite(MachineConfig::base(), AssistKind::Bypass, &cross_section());
     // Regular: software dominates hardware by a wide margin.
     let sw_reg = suite.average_by_category(Category::Regular, Version::PureSoftware);
     let hw_reg = suite.average_by_category(Category::Regular, Version::PureHardware);
@@ -47,12 +54,8 @@ fn selective_is_superadditive_on_mixed_codes() {
     // Paper §5.1: the selective improvement can exceed the *sum* of the
     // pure approaches. Assert the weaker, robust form on the mixed codes:
     // selective ≥ max(pure hw, pure sw).
-    let suite = SuiteResult::run_subset(
-        MachineConfig::base(),
-        AssistKind::Bypass,
-        Scale::Tiny,
-        &[Benchmark::Chaos, Benchmark::TpcDQ1],
-    );
+    let suite =
+        suite(MachineConfig::base(), AssistKind::Bypass, &[Benchmark::Chaos, Benchmark::TpcDQ1]);
     for row in &suite.rows {
         let hw = row.improvement(Version::PureHardware);
         let sw = row.improvement(Version::PureSoftware);
@@ -67,12 +70,8 @@ fn selective_is_superadditive_on_mixed_codes() {
 
 #[test]
 fn csv_export_covers_every_row() {
-    let suite = SuiteResult::run_subset(
-        MachineConfig::base(),
-        AssistKind::Victim,
-        Scale::Tiny,
-        &[Benchmark::Vpenta, Benchmark::Perl],
-    );
+    let suite =
+        suite(MachineConfig::base(), AssistKind::Victim, &[Benchmark::Vpenta, Benchmark::Perl]);
     let csv = suite.to_csv();
     assert_eq!(csv.lines().count(), 3);
     assert!(csv.contains("Vpenta,regular,"));
