@@ -47,7 +47,11 @@
 //! request, so clients see how much of their sweep was answered by the
 //! store (cross-client dedup shows up here as `store_hits`).
 //!
-//! Malformed lines never kill the connection: they are answered with
+//! A field present with another JSON type than the one documented here
+//! (`null` included) is an error naming the field, never its default.
+//! Malformed lines, and lines nesting deeper than
+//! [`MAX_DEPTH`](selcache_core::json::MAX_DEPTH), never kill the
+//! connection: they are answered with
 //! `{"ok":false,"kind":"error","message":...}` and the server reads on.
 //!
 //! # Shutdown
@@ -283,8 +287,17 @@ fn serve_line(raw: &[u8], state: &ServerState, out: &mut UnixStream) -> io::Resu
         "gc" => {
             match state.engine.store() {
                 Some(store) => {
-                    let max_age =
-                        req.get("max_age_secs").and_then(Json::as_u64).map(Duration::from_secs);
+                    let max_age = match req.get("max_age_secs") {
+                        None => None,
+                        Some(Json::UInt(secs)) => Some(Duration::from_secs(*secs)),
+                        Some(_) => {
+                            write_line(
+                                out,
+                                &error_json("\"max_age_secs\" must be a non-negative integer"),
+                            )?;
+                            return Ok(false);
+                        }
+                    };
                     match store.gc(max_age) {
                         Ok(r) => write_line(
                             out,
@@ -332,7 +345,11 @@ fn serve_run(req: &Json, state: &ServerState, out: &mut UnixStream) -> io::Resul
     let Some(specs) = req.get("jobs").and_then(Json::as_arr) else {
         return write_line(out, &error_json("run needs a \"jobs\" array"));
     };
-    let profiled = matches!(req.get("profiled"), Some(Json::Bool(true)));
+    let profiled = match req.get("profiled") {
+        None => false,
+        Some(Json::Bool(b)) => *b,
+        Some(_) => return write_line(out, &error_json("\"profiled\" must be a bool")),
+    };
     let mut jobs: Vec<SimJob> = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         match job_from_json(spec) {
@@ -470,29 +487,35 @@ fn parse_assist(s: &str) -> Option<AssistKind> {
 /// Builds a [`SimJob`] from a protocol job object. `benchmark` and
 /// `version` are required; `scale` defaults to `tiny`, `machine` to the
 /// base configuration, `assist` to `bypass` (the paper's primary assist).
+/// Every field is a string: one of another JSON type (`null` included) is
+/// an error naming it, never its default.
 fn job_from_json(spec: &Json) -> Result<SimJob, String> {
-    let field = |key: &str| spec.get(key).and_then(Json::as_str);
-    let benchmark = match field("benchmark") {
+    let field = |key: &str| match spec.get(key) {
+        None => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s.as_str())),
+        Some(_) => Err(format!("{key:?} must be a string")),
+    };
+    let benchmark = match field("benchmark")? {
         Some(s) => parse_benchmark(s).ok_or_else(|| format!("unknown benchmark {s:?}"))?,
         None => return Err("missing \"benchmark\"".into()),
     };
-    let version = match field("version") {
+    let version = match field("version")? {
         Some(s) => parse_version(s).ok_or_else(|| format!("unknown version {s:?}"))?,
         None => return Err("missing \"version\"".into()),
     };
-    let scale = match field("scale") {
+    let scale = match field("scale")? {
         Some(s) => Scale::parse(s).ok_or_else(|| format!("unknown scale {s:?}"))?,
         None => Scale::Tiny,
     };
-    let machine = match field("machine") {
+    let machine = match field("machine")? {
         Some(s) => parse_machine(s).ok_or_else(|| format!("unknown machine {s:?}"))?.machine(),
         None => ConfigVariant::Base.machine(),
     };
-    let assist = match field("assist") {
+    let assist = match field("assist")? {
         Some(s) => parse_assist(s).ok_or_else(|| format!("unknown assist {s:?}"))?,
         None => AssistKind::Bypass,
     };
-    let mode = match field("mode") {
+    let mode = match field("mode")? {
         Some(s) => match canon(s).as_str() {
             "exact" => SimMode::Exact,
             "sampled" => SimMode::sampled(),
@@ -501,7 +524,7 @@ fn job_from_json(spec: &Json) -> Result<SimJob, String> {
         None => SimMode::Exact,
     };
     let job = SimJob::new(benchmark, scale, machine, assist, version).with_mode(mode);
-    match field("policy") {
+    match field("policy")? {
         Some(s) => match canon(s).as_str() {
             "static" => Ok(job),
             "dynamic" => Ok(job.with_controller(ControllerConfig::default())),
@@ -559,6 +582,30 @@ mod tests {
         assert!(job_from_json(&bad).unwrap_err().contains("version"));
         let bad = Json::parse(r#"{"version":"base","benchmark":"whom"}"#).unwrap();
         assert!(job_from_json(&bad).unwrap_err().contains("whom"));
+
+        // A present field of the wrong type is an error naming it, even
+        // where an absent one would take a default.
+        for (key, value) in [
+            ("benchmark", "5"),
+            ("version", "[\"base\"]"),
+            ("scale", "5"),
+            ("machine", "7"),
+            ("assist", "{}"),
+            ("mode", "1"),
+            ("policy", "true"),
+            ("scale", "null"),
+        ] {
+            let mut pairs = vec![("benchmark", "\"li\""), ("version", "\"base\"")];
+            pairs.retain(|(k, _)| *k != key);
+            pairs.push((key, value));
+            let text = pairs.iter().map(|(k, v)| format!("{k:?}:{v}")).collect::<Vec<_>>();
+            let bad = Json::parse(&format!("{{{}}}", text.join(","))).unwrap();
+            assert_eq!(
+                job_from_json(&bad).unwrap_err(),
+                format!("{key:?} must be a string"),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -209,6 +209,15 @@ fn store_maintenance_ops_inspect_and_reclaim() {
     assert_eq!(uint(&lines[0], "removed"), 1);
     assert!(uint(&lines[0], "bytes_freed") > 0);
 
+    // A cutoff that is not a non-negative integer is an error, not a
+    // cutoff-free sweep.
+    for age in ["\"0\"", "-1", "null"] {
+        let lines = request(&sock, &format!(r#"{{"op":"gc","max_age_secs":{age}}}"#));
+        assert_eq!(kind(&lines[0]), "error", "max_age_secs {age}: {}", lines[0]);
+    }
+    let lines = request(&sock, r#"{"op":"store-stats"}"#);
+    assert_eq!(uint(&lines[0], "entries"), 2);
+
     // An aggressive age cutoff clears everything.
     let lines = request(&sock, r#"{"op":"gc","max_age_secs":0}"#);
     assert_eq!(uint(&lines[0], "kept"), 0);
@@ -315,6 +324,54 @@ fn profiled_requests_report_regions() {
     let engine = lines[1].get("engine").expect("engine");
     assert_eq!(uint(engine, "store_hits"), 0);
     assert_eq!(uint(engine, "bytes_written"), 0, "no store attached");
+
+    let bye = request(&sock, r#"{"op":"shutdown"}"#);
+    assert_eq!(kind(&bye[0]), "bye");
+    server_thread.join().expect("server thread");
+    service::reset_shutdown();
+}
+
+#[test]
+fn hostile_lines_are_answered_not_fatal() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    service::reset_shutdown();
+    let root = TempRoot::new("hostile");
+    let sock = root.0.join("hostile.sock");
+    let server = Server::bind(&sock, JobEngine::new(1)).expect("bind");
+    let server_thread = std::thread::spawn(move || server.run().expect("server run"));
+    await_server(&sock);
+
+    // Nesting deep enough to overflow a recursive parser's stack, yet far
+    // under the 1 MiB line cap, is an error line; the server lives on.
+    let deep = "[".repeat(10_000);
+    let lines = request(&sock, &deep);
+    assert_eq!(lines.len(), 1);
+    assert_eq!(lines[0].get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(kind(&lines[0]), "error");
+    let msg = lines[0].get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(msg.contains("nesting deeper than 128 levels"), "{msg}");
+    let lines = request(&sock, r#"{"op":"ping"}"#);
+    assert_eq!(kind(&lines[0]), "pong");
+
+    // Wrong-typed fields are errors that name the field, and nothing runs.
+    let lines = request(
+        &sock,
+        r#"{"op":"run","profiled":"yes","jobs":[{"benchmark":"li","version":"base"}]}"#,
+    );
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert_eq!(kind(&lines[0]), "error");
+    let msg = lines[0].get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(msg.contains("\"profiled\" must be a bool"), "{msg}");
+    let lines = request(
+        &sock,
+        r#"{"op":"run","jobs":[{"benchmark":"li","version":"base","scale":5,"machine":7,"policy":true,"mode":1}]}"#,
+    );
+    assert_eq!(kind(&lines[0]), "error");
+    let msg = lines[0].get("message").and_then(Json::as_str).unwrap_or("");
+    assert_eq!(msg, r#"jobs[0]: "scale" must be a string"#);
+    let stats = request(&sock, r#"{"op":"stats"}"#);
+    assert_eq!(uint(&stats[0], "executed"), 0, "rejected requests simulate nothing");
+    assert_eq!(uint(&stats[0], "requests"), 0);
 
     let bye = request(&sock, r#"{"op":"shutdown"}"#);
     assert_eq!(kind(&bye[0]), "bye");

@@ -528,8 +528,9 @@ impl JobEngine {
     }
 
     /// The engine's executor — the shared thread budget every fan-out in
-    /// this engine (jobs, program preparation, sampled intervals) leases
-    /// workers from. Clone it to make other work share the same budget.
+    /// this engine (store lookups, program preparation, jobs, sampled
+    /// intervals) leases workers from. Clone it to make other work share
+    /// the same budget.
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
@@ -579,18 +580,20 @@ impl JobEngine {
     fn execute(&self, jobs: &[SimJob], profiled: bool) -> (Vec<SimResult>, EngineStats) {
         let ExecPlan { unique, slot, identities, ids, prog_keys, prog_of } = ExecPlan::of(jobs);
 
-        // Consult the store first: a hit answers the identity without
-        // preparing or simulating anything. Profiled runs need region
-        // attribution, so region-less entries are misses (re-simulated and
-        // overwritten with regions); plain runs strip any stored regions
-        // so output stays byte-identical with the store-less engine.
-        let mut cached: Vec<Option<SimResult>> = Vec::with_capacity(unique.len());
-        if let Some(store) = &self.store {
-            for k in 0..unique.len() {
-                // Sampled results never carry regions, so a profiled run
-                // accepts them as-is rather than re-simulating forever.
-                let needs_regions = profiled && !unique[k].mode.is_sampled();
-                cached.push(store.get(ids[k], &identities[k]).and_then(|mut r| {
+        // Consult the store first, one lookup per identity on the executor:
+        // a hit answers the identity without preparing or simulating
+        // anything. Profiled runs need region attribution, so region-less
+        // entries are misses (re-simulated and overwritten with regions);
+        // plain runs strip any stored regions so output stays
+        // byte-identical with the store-less engine.
+        let cached: Vec<Option<SimResult>> = match &self.store {
+            Some(store) => {
+                let all: Vec<usize> = (0..unique.len()).collect();
+                self.executor.map(&all, |&k| {
+                    // Sampled results never carry regions, so a profiled run
+                    // accepts them as-is rather than re-simulating forever.
+                    let needs_regions = profiled && !unique[k].mode.is_sampled();
+                    let mut r = store.get(ids[k], &identities[k])?;
                     if needs_regions && r.regions.is_none() {
                         return None;
                     }
@@ -598,11 +601,10 @@ impl JobEngine {
                         r.regions = None;
                     }
                     Some(r)
-                }));
+                })
             }
-        } else {
-            cached.resize_with(unique.len(), || None);
-        }
+            None => (0..unique.len()).map(|_| None).collect(),
+        };
         let store_hits = cached.iter().filter(|c| c.is_some()).count();
 
         // Prepare only the programs that store-missing identities execute

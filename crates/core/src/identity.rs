@@ -97,9 +97,11 @@ impl FromStr for JobId {
 /// Renders bytes as lowercase hex (the identity echo stored in result
 /// envelopes).
 pub(crate) fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = fmt::Write::write_fmt(&mut s, format_args!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -484,5 +486,9 @@ mod tests {
     fn to_hex_renders_lowercase_pairs() {
         assert_eq!(to_hex(&[0x00, 0xab, 0x0f]), "00ab0f");
         assert_eq!(to_hex(&[]), "");
+        // Every byte renders as `{:02x}` does, so stored echoes still match.
+        let all: Vec<u8> = (0..=255).collect();
+        let expect: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(to_hex(&all), expect);
     }
 }

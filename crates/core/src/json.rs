@@ -54,8 +54,12 @@ impl Json {
     /// they fit a `u128`, and only beyond that (or when negative) fall
     /// back to [`Json::Num`]. `null` parses as a non-finite [`Json::Num`]
     /// (matching what the renderer emits for NaN).
+    ///
+    /// Time is linear in the input. Arrays and objects may nest at most
+    /// [`MAX_DEPTH`] levels; deeper input is an error, not a stack
+    /// overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -135,9 +139,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so without a cap a request line of a few
+/// thousand `[` overflows the stack of the thread reading it. Store
+/// envelopes nest 4 levels, the benchmark's reference file 5.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -175,8 +187,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -184,6 +196,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -274,13 +300,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the `&str` input and one UTF-8 check covers it.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -485,6 +514,24 @@ mod tests {
         let v = Json::parse("12345678901234567890").unwrap();
         assert_eq!(v.as_u64(), Some(12_345_678_901_234_567_890));
         assert_eq!(v.as_u128(), Some(12_345_678_901_234_567_890));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        for open in ["[", "{\"a\":"] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 128 levels", "{open}");
+            assert_eq!(err.offset, MAX_DEPTH * open.len());
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let deepest = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let deeper = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&deeper).is_err());
+        // Siblings do not add up: depth is what is open at once.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! (with and without region profiles), corrupt-entry recovery, warm-store
 //! engine behavior (zero simulations, byte-identical results), and gc.
 
+use selcache_core::json::Json;
 use selcache_core::{
     AssistKind, Benchmark, ControllerConfig, JobEngine, MachineConfig, Scale, SimJob, SimMode,
     Store, Version,
@@ -123,14 +124,32 @@ fn corrupt_and_stale_entries_are_misses_and_repaired() {
     }
     entries.sort();
     assert_eq!(entries.len(), cold_stats.executed);
+    assert_eq!(entries.len(), 6);
     fs::write(&entries[0], "{ this is not json").unwrap();
     fs::write(&entries[1], "{\"schema\":\"selcache-store/0\",\"result\":{}}\n").unwrap();
 
-    // Both damaged entries read as misses: the engine re-simulates just
-    // those two and heals the store, with results still byte-identical.
+    // Three more keep a valid envelope but echo a wrong identity: one hex
+    // digit flipped, upper-cased, and two digits short.
+    let manglers: [fn(&str) -> String; 3] = [
+        |hex| format!("{}{}", if hex.starts_with('0') { '1' } else { '0' }, &hex[1..]),
+        |hex| hex.to_ascii_uppercase(),
+        |hex| hex[..hex.len() - 2].to_string(),
+    ];
+    for (path, mangle) in entries[2..5].iter().zip(manglers) {
+        let mut env = Json::parse(&fs::read_to_string(path).unwrap()).unwrap();
+        let Json::Obj(pairs) = &mut env else { panic!("envelope is an object") };
+        let (_, echo) = pairs.iter_mut().find(|(k, _)| k == "identity").unwrap();
+        let mangled = mangle(echo.as_str().unwrap());
+        assert_ne!(echo.as_str(), Some(mangled.as_str()));
+        *echo = Json::str(mangled);
+        fs::write(path, format!("{env}\n")).unwrap();
+    }
+
+    // All five damaged entries read as misses: the engine re-simulates
+    // just those and heals the store, with results still byte-identical.
     let (healed, healed_stats) = engine.run_with_stats(&jobs);
-    assert_eq!(healed_stats.executed, 2);
-    assert_eq!(healed_stats.store_hits, cold_stats.executed - 2);
+    assert_eq!(healed_stats.executed, 5);
+    assert_eq!(healed_stats.store_hits, cold_stats.executed - 5);
     assert_eq!(healed, cold);
 
     // And a third run is fully warm again.

@@ -102,9 +102,10 @@ fn sampled_json_is_thread_count_invariant() {
         assert_eq!(json, reference_json, "threads = {threads}");
     }
 
-    // Store-warm interaction: a cold parallel run populates the store; a
-    // warm serial run answers everything from it without simulating. Both
-    // render to the same bytes as the store-less reference.
+    // Store-warm interaction: a cold parallel run populates the store;
+    // warm runs at 1, 2 and 8 threads (store lookups fan out on the
+    // executor) answer everything from it without simulating. All render
+    // to the same bytes as the store-less reference.
     let root =
         std::env::temp_dir().join(format!("selcache-determinism-sampled-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -112,11 +113,16 @@ fn sampled_json_is_thread_count_invariant() {
     let (cold, cold_stats) = JobEngine::with_store(8, open()).run_with_stats(&jobs);
     assert_eq!(sampled_json(&cold), reference_json, "cold store run");
     assert!(cold_stats.executed > 0);
-    let (warm, warm_stats) = JobEngine::with_store(1, open()).run_with_stats(&jobs);
+    let warm: Vec<_> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| (threads, JobEngine::with_store(threads, open()).run_with_stats(&jobs)))
+        .collect();
     let _ = std::fs::remove_dir_all(&root);
-    assert_eq!(warm_stats.executed, 0, "warm store run must simulate nothing");
-    assert_eq!(warm_stats.store_hits, cold_stats.store_misses);
-    assert_eq!(sampled_json(&warm), reference_json, "warm store run");
+    for (threads, (results, stats)) in warm {
+        assert_eq!(stats.executed, 0, "warm store run must simulate nothing, threads = {threads}");
+        assert_eq!(stats.store_hits, cold_stats.store_misses, "threads = {threads}");
+        assert_eq!(sampled_json(&results), reference_json, "warm store run, threads = {threads}");
+    }
 }
 
 #[test]
