@@ -1,5 +1,5 @@
 //! A Fenwick (binary indexed) tree over access timestamps — the engine of
-//! the O(N log N) reuse-distance algorithm.
+//! the O(N log F) reuse-distance algorithm.
 
 /// Fenwick tree of `u32` counters with prefix-sum queries.
 #[derive(Debug, Clone)]
@@ -23,22 +23,52 @@ impl Fenwick {
         self.len() == 0
     }
 
-    /// Grows the index space to at least `n` positions.
+    /// Grows the index space to at least `n` positions, keeping every
+    /// point value, in O(n): the tree is turned back into its point values,
+    /// extended with zeros and rebuilt, all in place.
     pub fn grow(&mut self, n: usize) {
         if n + 1 > self.tree.len() {
-            // Rebuild: Fenwick trees do not grow in place cheaply, so copy
-            // the point values out via prefix differences.
-            let mut values = vec![0u32; n];
-            for (i, v) in values.iter_mut().enumerate().take(self.len()) {
-                *v = self.range(i, i + 1) as u32;
+            self.unbuild();
+            self.tree.resize(n + 1, 0);
+            self.build();
+        }
+    }
+
+    /// Resets position `i` to 1 for every `i < ones` and to 0 above, in
+    /// O(len).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ones` exceeds [`Fenwick::len`].
+    pub(crate) fn reset_ones(&mut self, ones: usize) {
+        assert!(ones <= self.len(), "fenwick reset to {ones} ones over {} positions", self.len());
+        for (k, v) in self.tree.iter_mut().enumerate() {
+            *v = u32::from((1..=ones).contains(&k));
+        }
+        self.build();
+    }
+
+    /// Turns `tree[1..]` from point values into Fenwick sums: each node
+    /// passes its finished sum to its parent, children before parents.
+    fn build(&mut self) {
+        let n = self.tree.len();
+        for k in 1..n {
+            let parent = k + (k & k.wrapping_neg());
+            if parent < n {
+                self.tree[parent] += self.tree[k];
             }
-            let mut next = Fenwick::new(n);
-            for (i, v) in values.iter().enumerate() {
-                if *v != 0 {
-                    next.add(i, *v as i64);
-                }
+        }
+    }
+
+    /// The inverse of [`Fenwick::build`]: parents before children, each
+    /// node takes back what its children passed up.
+    fn unbuild(&mut self) {
+        let n = self.tree.len();
+        for k in (1..n).rev() {
+            let parent = k + (k & k.wrapping_neg());
+            if parent < n {
+                self.tree[parent] -= self.tree[k];
             }
-            *self = next;
         }
     }
 
@@ -116,6 +146,19 @@ mod tests {
         assert_eq!(f.range(3, 4), 2);
         f.add(15, 1);
         assert_eq!(f.prefix(16), 10);
+    }
+
+    #[test]
+    fn reset_ones_sets_a_prefix() {
+        let mut f = Fenwick::new(13);
+        f.add(2, 5);
+        f.add(12, 1);
+        f.reset_ones(6);
+        for i in 0..=13 {
+            assert_eq!(f.prefix(i), i.min(6) as u64, "prefix({i})");
+        }
+        f.reset_ones(0);
+        assert_eq!(f.prefix(13), 0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Locality analysis over selcache traces:
 //!
-//! - [`ReuseProfiler`] — exact LRU reuse distances in O(N log N) and
+//! - [`ReuseProfiler`] — exact LRU reuse distances in O(N log F) time
+//!   and O(F) memory for N accesses over a footprint of F blocks, and
 //!   Mattson miss-ratio curves (one pass, every cache size).
 //! - [`ReuseSpectrum`] / [`CacheModel`] — exact distance spectra and the
 //!   binomial fully-associative → set-associative projection, evaluating

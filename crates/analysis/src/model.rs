@@ -54,8 +54,10 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReuseSpectrum {
-    /// Distance → access count, ordered so sums are deterministic.
-    counts: BTreeMap<u64, u64>,
+    /// Access count per distance. A distance is below the footprint, so
+    /// the vector is as long as the footprint at most; sums run in
+    /// ascending distance order, so they are deterministic.
+    counts: Vec<u64>,
     cold: u64,
     total: u64,
 }
@@ -71,7 +73,13 @@ impl ReuseSpectrum {
         self.total += 1;
         match d {
             Distance::Cold => self.cold += 1,
-            Distance::Finite(n) => *self.counts.entry(n).or_insert(0) += 1,
+            Distance::Finite(n) => {
+                let n = n as usize;
+                if n >= self.counts.len() {
+                    self.counts.resize(n + 1, 0);
+                }
+                self.counts[n] += 1;
+            }
         }
     }
 
@@ -91,7 +99,8 @@ impl ReuseSpectrum {
         if self.total == 0 {
             return 0.0;
         }
-        let hits: u64 = self.counts.range(..blocks).map(|(_, c)| c).sum();
+        let exact = blocks.min(self.counts.len() as u64) as usize;
+        let hits: u64 = self.counts[..exact].iter().sum();
         1.0 - hits as f64 / self.total as f64
     }
 
@@ -105,7 +114,8 @@ impl ReuseSpectrum {
         const BINS_PER_OCTAVE: u64 = 32;
         let mut exact: Vec<(u64, u64)> = Vec::new();
         let mut bins: BTreeMap<(u32, u64), (f64, u64)> = BTreeMap::new();
-        for (&d, &c) in &self.counts {
+        for (d, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            let d = d as u64;
             if d < EXACT_LIMIT {
                 exact.push((d, c));
             } else {

@@ -22,6 +22,13 @@ pub enum Distance {
 
 /// Streaming reuse-distance profiler over block-grain addresses.
 ///
+/// Memory is bounded by the footprint, not the trace length: each block
+/// keeps one mark at the time of its last touch, and when the time axis
+/// fills up with at most a quarter of its slots live, the live marks are
+/// renumbered to `0..live` (in order, so no distance changes) instead of
+/// the axis doubling. Each access costs O(log F) for a footprint of F
+/// blocks.
+///
 /// ```
 /// use selcache_analysis::{Distance, ReuseProfiler};
 /// use selcache_ir::Addr;
@@ -37,7 +44,7 @@ pub struct ReuseProfiler {
     block_size: u64,
     /// Last access timestamp per block.
     last: HashMap<u64, usize>,
-    /// Marks at the last-access time of every currently-live block.
+    /// Marks at the last-access time of every block seen: one per block.
     marks: Fenwick,
     time: usize,
     histogram: Histogram,
@@ -132,7 +139,19 @@ impl ReuseProfiler {
     pub fn record(&mut self, addr: Addr) -> Distance {
         let block = addr.block(self.block_size);
         if self.time >= self.marks.len() {
-            self.marks.grow(self.marks.len() * 2);
+            let live = self.last.len();
+            if live * 4 <= self.marks.len() {
+                // Compact: renumber each block's last touch to its rank
+                // among the live marks, which keeps their order and so
+                // every future distance.
+                for t in self.last.values_mut() {
+                    *t = self.marks.prefix(*t) as usize;
+                }
+                self.marks.reset_ones(live);
+                self.time = live;
+            } else {
+                self.marks.grow(self.marks.len() * 2);
+            }
         }
         let d = match self.last.insert(block, self.time) {
             None => Distance::Cold,

@@ -257,7 +257,8 @@ fn main() {
     );
 
     // Sweep-grid throughput: a 200-point analytical L1 design-space grid
-    // (single trace pass per version, no cross-check sims), best of REPS.
+    // (one trace pass per version and line size, 2 x 4 on the serial
+    // engine, no cross-check sims), best of REPS.
     // The speedup column extrapolates the exact equivalent from one
     // measured point (two simulations: base + optimized).
     let grid_spec = SweepSpec::new(SWEEP_BENCH)

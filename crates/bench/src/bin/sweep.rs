@@ -3,11 +3,12 @@
 //!
 //! Two modes:
 //!
-//! - `--mode analytical` (the default): a single reuse-profiling trace
-//!   pass per program version evaluates the whole
-//!   `--sizes × --assocs × --lines` L1 grid analytically, then
-//!   `--check-fraction` of the points are verified by exact simulation
-//!   and the max/mean absolute miss-ratio error is reported.
+//! - `--mode analytical` (the default): one reuse-profiling trace pass
+//!   per program version and line size, fanned out over `--threads`,
+//!   evaluates the whole `--sizes × --assocs × --lines` L1 grid
+//!   analytically, then `--check-fraction` of the points are verified by
+//!   exact simulation and the max/mean absolute miss-ratio error is
+//!   reported.
 //! - `--mode exact`: every point of the `--latencies` axis is simulated
 //!   in full (base plus the four reported versions), yielding the
 //!   classic % improvement series.

@@ -284,16 +284,23 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            let unit = self
+                                .hex4(self.pos + 1)
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogates are not paired up; the writer never
-                            // emits them (it only \u-escapes control chars).
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                             self.pos += 4;
+                            // A high surrogate followed by a `\u` low
+                            // surrogate is one astral char; a lone
+                            // surrogate decodes as U+FFFD.
+                            let mut c = unit;
+                            if (0xD800..0xDC00).contains(&unit)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                if let Some(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                                    c = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -313,6 +320,12 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The code unit spelled by exactly four ASCII hex digits at `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits.iter().try_fold(0, |unit, &b| Some(unit << 4 | char::from(b).to_digit(16)?))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -532,6 +545,26 @@ mod tests {
         // Siblings do not add up: depth is what is open at once.
         let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_pair_surrogates() {
+        let text = |json: &str| Json::parse(json).map(|v| v.as_str().map(str::to_owned));
+        assert_eq!(text(r#""\u0041\u00e9\u00E9""#), Ok(Some("Aéé".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u041""#, r#""\u00g1""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(text(r#""\ud83d\ude00""#), Ok(Some("\u{1f600}".into())));
+        assert_eq!(text(r#""\uD834\uDD1E!""#), Ok(Some("\u{1d11e}!".into())));
+        // Lone surrogates decode as U+FFFD; what follows is read as usual.
+        assert_eq!(text(r#""\ud83d""#), Ok(Some("\u{fffd}".into())));
+        assert_eq!(text(r#""\ude00\ud83d""#), Ok(Some("\u{fffd}\u{fffd}".into())));
+        assert_eq!(text(r#""\ud83dx""#), Ok(Some("\u{fffd}x".into())));
+        assert_eq!(text(r#""\ud83d\u0041""#), Ok(Some("\u{fffd}A".into())));
+        assert_eq!(text(r#""\ud83d\ud83d\ude00""#), Ok(Some("\u{fffd}\u{1f600}".into())));
+        assert_eq!(text(r#""\ud83d\n""#), Ok(Some("\u{fffd}\n".into())));
+        // A bad escape after a high surrogate is still an error.
+        assert!(Json::parse(r#""\ud83d\u+e00""#).is_err());
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //! ## Design-space sweeps
 //!
 //! [`SweepSpec`] declares a parameter grid over one benchmark and runs it
-//! either exactly (every point simulated) or analytically — a single
-//! reuse-profiling trace pass per program version evaluates the whole
-//! `(size, associativity, line)` grid, with a sampled exact cross-check
-//! bounding the model error. See the [`sweep`](crate::SweepSpec) types.
+//! either exactly (every point simulated) or analytically — one
+//! reuse-profiling trace pass per program version and line size, run in
+//! parallel, evaluates the whole `(size, associativity, line)` grid, with
+//! a sampled exact cross-check bounding the model error. See the
+//! [`sweep`](crate::SweepSpec) types.
 //!
 //! ## Persistent results
 //!

@@ -13,17 +13,18 @@
 //!   versions, and the point carries their % improvements. This is the
 //!   historical sweep, with the engine deduplicating the work points
 //!   share (prepared programs, identical runs).
-//! - [`SweepMode::Analytical`] runs a **single trace pass** per program
-//!   version — one compiled access plan ([`Interp::with_plan`]) streamed
-//!   through an exact LRU reuse-distance profiler per line size — and
-//!   then evaluates every `(size, associativity, line)` grid point from
-//!   the resulting [`CacheModel`]s: fully-associative miss ratios are
-//!   exact (Mattson), set-associative ones use the binomial projection.
-//!   A configurable fraction of grid points is cross-checked against
-//!   exact simulation, and the sweep reports the max/mean absolute
-//!   error alongside each estimate. A 100-point grid costs two trace
-//!   passes plus a handful of verification sims instead of 100 full
-//!   simulations.
+//! - [`SweepMode::Analytical`] runs **one trace pass per program version
+//!   and distinct line size** — each streams the version's compiled
+//!   access plan ([`Interp::with_plan`]) through its own exact LRU
+//!   reuse-distance profiler, and the passes fan out on the engine's
+//!   executor — and then evaluates every `(size, associativity, line)`
+//!   grid point from the resulting [`CacheModel`]s: fully-associative
+//!   miss ratios are exact (Mattson), set-associative ones use the
+//!   binomial projection. A configurable fraction of grid points is
+//!   cross-checked against exact simulation, and the sweep reports the
+//!   max/mean absolute error alongside each estimate. A 100-point grid
+//!   over one line size costs two trace passes plus a handful of
+//!   verification sims instead of 100 full simulations.
 //!
 //! ```
 //! use selcache_core::{SweepAxis, SweepMode, SweepSpec};
@@ -122,10 +123,10 @@ impl fmt::Display for SweepAxis {
 pub enum SweepMode {
     /// Simulate every grid point exactly (base + four versions each).
     Exact,
-    /// One reuse-profiling trace pass per program version, analytical
-    /// evaluation of every grid point, and an exact-simulation
-    /// cross-check of `check_fraction` of the points (0 disables the
-    /// check, 1 checks everything).
+    /// One reuse-profiling trace pass per program version and distinct
+    /// line size, analytical evaluation of every grid point, and an
+    /// exact-simulation cross-check of `check_fraction` of the points (0
+    /// disables the check, 1 checks everything).
     Analytical {
         /// Fraction of grid points verified against exact simulation.
         check_fraction: f64,
@@ -251,20 +252,17 @@ impl SweepSpec {
     /// The grid: every point's coordinates, in axis order, last axis
     /// fastest.
     pub fn grid(&self) -> Vec<Vec<u64>> {
-        let mut out = vec![Vec::new()];
-        for (_, values) in &self.axes {
-            out = out
-                .into_iter()
-                .flat_map(|prefix| {
-                    values.iter().map(move |&v| {
-                        let mut p = prefix.clone();
-                        p.push(v);
-                        p
-                    })
-                })
-                .collect();
+        (0..self.points()).map(|k| self.point(k)).collect()
+    }
+
+    /// The coordinates of grid point `k`, in axis order.
+    fn point(&self, mut k: usize) -> Vec<u64> {
+        let mut values = vec![0; self.axes.len()];
+        for ((_, axis), v) in self.axes.iter().zip(&mut values).rev() {
+            *v = axis[k % axis.len()];
+            k /= axis.len();
         }
-        out
+        values
     }
 
     /// The machine configuration of one grid point: the base machine
@@ -309,11 +307,10 @@ impl SweepSpec {
                 jobs
             }
             SweepMode::Analytical { check_fraction } => {
-                let grid = self.grid();
                 let opt = default_opt(&MachineConfig::base());
                 let mut jobs = Vec::new();
-                for k in sample_indices(grid.len(), check_fraction) {
-                    let machine = self.machine_at(&grid[k]);
+                for k in sample_indices(self.points(), check_fraction) {
+                    let machine = self.machine_at(&self.point(k));
                     for version in [Version::Base, Version::PureSoftware] {
                         jobs.push(
                             SimJob::new(
@@ -436,36 +433,32 @@ impl SweepSpec {
         let grid = self.grid();
         let opt = default_opt(&MachineConfig::base());
 
-        // One trace pass per program version, feeding an exact
-        // reuse-distance profiler per distinct line size: the single
-        // traversal that replaces per-point simulation.
+        // One trace pass per (program version, distinct line size), each
+        // into its own exact reuse-distance profiler, fanned out on the
+        // engine's executor: the traversals that replace per-point
+        // simulation. Models land in slot order, version-major.
         let raw = self.benchmark.build(self.scale);
         let optimized = optimize(&raw, &opt);
         let mut lines: Vec<u64> = grid.iter().map(|v| self.l1_geometry(v).2).collect();
         lines.sort_unstable();
         lines.dedup();
         let versions = [&raw, &optimized];
-        let models: Vec<Vec<CacheModel>> = versions
-            .iter()
-            .map(|program| {
-                let plan = Plan::compile(program);
-                let mut profs: Vec<(ReuseProfiler, ReuseSpectrum)> = lines
-                    .iter()
-                    .map(|&line| (ReuseProfiler::new(line), ReuseSpectrum::new()))
-                    .collect();
-                for op in Interp::with_plan(program, &plan) {
-                    if let Some(addr) = op.kind.addr() {
-                        for (prof, spec) in &mut profs {
-                            spec.record(prof.record(addr));
-                        }
-                    }
+        let plans = versions.map(Plan::compile);
+        let profiles: Vec<(usize, u64)> =
+            (0..versions.len()).flat_map(|v| lines.iter().map(move |&line| (v, line))).collect();
+        let models: Vec<CacheModel> = engine.executor().map(&profiles, |&(v, line)| {
+            let mut prof = ReuseProfiler::new(line);
+            let mut spec = ReuseSpectrum::new();
+            for op in Interp::with_plan(versions[v], &plans[v]) {
+                if let Some(addr) = op.kind.addr() {
+                    spec.record(prof.record(addr));
                 }
-                profs.iter().map(|(_, spec)| spec.model()).collect()
-            })
-            .collect();
+            }
+            spec.model()
+        });
         let model_at = |version: usize, line: u64| {
             let k = lines.binary_search(&line).expect("line size was profiled");
-            &models[version][k]
+            &models[version * lines.len() + k]
         };
 
         // Evaluate every grid point from the profiles.
@@ -519,7 +512,7 @@ impl SweepSpec {
             check,
             work: SweepWork {
                 grid_points: grid.len(),
-                trace_passes: versions.len(),
+                trace_passes: profiles.len(),
                 exact_sims: stats.executed,
             },
             engine: stats,
@@ -624,8 +617,9 @@ pub struct CheckSummary {
 pub struct SweepWork {
     /// Grid points evaluated.
     pub grid_points: usize,
-    /// Trace traversals (one per program version in analytical mode; 0
-    /// in exact mode, which simulates instead).
+    /// Trace traversals: in analytical mode one per program version and
+    /// distinct line size (2 for a grid without an [`SweepAxis::L1Line`]
+    /// axis); 0 in exact mode, which simulates instead.
     pub trace_passes: usize,
     /// Unique exact simulations executed (after engine dedup).
     pub exact_sims: usize,

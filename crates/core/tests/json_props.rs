@@ -1,6 +1,7 @@
 //! Property tests of the JSON reader and writer: rendered trees parse back
-//! to themselves, every truncation of a document is an error, nesting is
-//! capped at `MAX_DEPTH`, and no input makes the parser panic.
+//! to themselves, also with astral chars written as escaped surrogate
+//! pairs, every truncation of a document is an error, nesting is capped at
+//! `MAX_DEPTH`, and no input makes the parser panic.
 //!
 //! Trees are built from one generated seed by a local SplitMix64, so the
 //! vendored proptest only has to draw integers.
@@ -97,6 +98,37 @@ fn container(g: &mut Gen) -> Json {
     }
 }
 
+/// A string of astral chars (anywhere in U+10000..=U+10FFFF) between
+/// ordinary pieces.
+fn astral(g: &mut Gen) -> String {
+    let mut out = string(g);
+    for _ in 0..=g.below(4) {
+        out.extend(char::from_u32(0x10000 + g.below(0x10_0000) as u32));
+        out.push_str(&string(g));
+    }
+    out
+}
+
+/// `text` with every astral char written as an escaped UTF-16 surrogate
+/// pair, each unit in lower- or upper-case hex.
+fn escape_astral(text: &str, g: &mut Gen) -> String {
+    let mut out = String::new();
+    for c in text.chars() {
+        if u32::from(c) < 0x10000 {
+            out.push(c);
+            continue;
+        }
+        for unit in c.encode_utf16(&mut [0; 2]) {
+            if g.below(2) == 0 {
+                out.push_str(&format!("\\u{unit:04x}"));
+            } else {
+                out.push_str(&format!("\\u{unit:04X}"));
+            }
+        }
+    }
+    out
+}
+
 /// Bytes that often form JSON structure, mixed with arbitrary ones.
 const TOKENS: &[u8] = b"{}[]\",:\\/unlltrfe0123456789.-+Eu \n";
 
@@ -107,6 +139,15 @@ proptest! {
     fn rendered_trees_parse_back(seed in any::<u64>()) {
         let v = tree(&mut Gen(seed), 4);
         let text = v.to_string();
+        prop_assert_eq!(Json::parse(&text), Ok(v), "{}", text);
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_parse_to_astral_chars(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let v = Json::Arr(vec![Json::Str(astral(&mut g)), tree(&mut g, 3)]);
+        let text = escape_astral(&v.to_string(), &mut g);
+        prop_assert!(text.chars().all(|c| u32::from(c) < 0x10000), "{}", text);
         prop_assert_eq!(Json::parse(&text), Ok(v), "{}", text);
     }
 

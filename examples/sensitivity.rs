@@ -2,7 +2,8 @@
 //! respond to memory latency and associativity — built on the
 //! [`selcache::core`] `SweepSpec` API, which also exports CSV for
 //! plotting — plus an analytical size×associativity grid evaluated from
-//! a single trace pass per version.
+//! one trace pass per version (the grid has one line size; each further
+//! line size adds a pass per version).
 //!
 //! ```text
 //! cargo run --release --example sensitivity [-- <benchmark>]

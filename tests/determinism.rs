@@ -4,7 +4,8 @@
 use selcache::compiler::{selective, OptConfig};
 use selcache::core::json::Json;
 use selcache::core::{
-    AssistKind, Experiment, JobEngine, MachineConfig, SimJob, SimMode, SimResult, Store, Version,
+    AssistKind, Experiment, JobEngine, MachineConfig, SimJob, SimMode, SimResult, Store, SweepAxis,
+    SweepMode, SweepSpec, Version,
 };
 use selcache::ir::Interp;
 use selcache::workloads::{Benchmark, Scale};
@@ -123,6 +124,47 @@ fn sampled_json_is_thread_count_invariant() {
         assert_eq!(stats.store_hits, cold_stats.store_misses, "threads = {threads}");
         assert_eq!(sampled_json(&results), reference_json, "warm store run, threads = {threads}");
     }
+}
+
+/// The analytical sweep profiles each (program version, line size) on the
+/// engine's executor: points, cross-checks and work accounting are the
+/// same for thread budgets 1, 2 and 8, and four estimates are pinned bit
+/// for bit.
+#[test]
+fn analytical_sweep_is_thread_count_invariant() {
+    let spec = |bm| {
+        SweepSpec::new(bm)
+            .scale(Scale::Tiny)
+            .mode(SweepMode::Analytical { check_fraction: 0.1 })
+            .axis(SweepAxis::L1Size, [4 * 1024, 16 * 1024, 64 * 1024])
+            .axis(SweepAxis::L1Assoc, [1, 2, 4])
+            .axis(SweepAxis::L1Line, [16, 64])
+    };
+    let mut estimates = Vec::new();
+    for bm in [Benchmark::Chaos, Benchmark::Li] {
+        let reference = spec(bm).run_with(&JobEngine::new(1)).unwrap();
+        assert_eq!(reference.work.trace_passes, 4, "{bm}: two versions x two line sizes");
+        assert!(reference.check.is_some(), "{bm}: the cross-check ran");
+        for threads in [2, 8] {
+            let sweep = spec(bm).run_with(&JobEngine::new(threads)).unwrap();
+            assert_eq!(sweep.points, reference.points, "{bm}, threads = {threads}");
+            assert_eq!(sweep.check, reference.check, "{bm}, threads = {threads}");
+            assert_eq!(sweep.work, reference.work, "{bm}, threads = {threads}");
+        }
+        estimates.push(reference.points);
+    }
+    // Recorded when each version's line sizes still shared one serial
+    // trace pass: 0.5904132471368311, 0.06284026463737236,
+    // 0.6055785688761495 and 0.4063415261373434.
+    const PINNED: [u64; 4] =
+        [0x3fe2e4aa52727dca, 0x3fb0164cb17d4fd8, 0x3fe360e64e8f68d2, 0x3fda017fe371104a];
+    let est = |bm: usize, point: usize| *estimates[bm][point].estimate().unwrap();
+    // Chaos at (4 KiB, 1-way, 16 B) and (64 KiB, 4-way, 64 B); Li at
+    // (16 KiB, 2-way, 16 B) and (64 KiB, 1-way, 64 B).
+    assert_eq!(est(0, 0).base.to_bits(), PINNED[0]);
+    assert_eq!(est(0, 17).optimized.to_bits(), PINNED[1]);
+    assert_eq!(est(1, 8).base.to_bits(), PINNED[2]);
+    assert_eq!(est(1, 13).optimized.to_bits(), PINNED[3]);
 }
 
 #[test]
