@@ -10,11 +10,10 @@
 //! and weighted reconstruction live in `selcache-core`.
 //!
 //! The fingerprint is deliberately cheap to maintain at streaming speed: a
-//! working-set signature (the same hashed bitvector the phase detector in
-//! [`crate::phase`] uses) plus a per-PC-bucket op histogram standing in for
-//! a basic-block vector — the interpreter assigns stable PCs per static
-//! site, so bucketed PC counts capture "which code is running" exactly as a
-//! BBV would.
+//! working-set signature (a hashed bitvector of the blocks touched) plus a
+//! per-PC-bucket op histogram standing in for a basic-block vector — the
+//! interpreter assigns stable PCs per static site, so bucketed PC counts
+//! capture "which code is running" exactly as a BBV would.
 
 use selcache_ir::Addr;
 

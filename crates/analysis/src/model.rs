@@ -2,10 +2,9 @@
 //! spectra.
 //!
 //! [`ReuseProfiler`](crate::ReuseProfiler) yields the exact LRU reuse
-//! distance of every access; a [`ReuseSpectrum`] accumulates those
-//! distances *without* the log₂ bucketing of
-//! [`Histogram`](crate::Histogram), so a fully-associative miss ratio is
-//! exact at every capacity, not just powers of two.
+//! distance of every access; a [`ReuseSpectrum`] counts accesses per
+//! distance, without bucketing, so a fully-associative miss ratio is
+//! exact at every capacity.
 //!
 //! On top of the spectrum sits the classic binomial projection from a
 //! fully-associative profile to a set-associative cache (Hill & Smith,

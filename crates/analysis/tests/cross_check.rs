@@ -2,7 +2,7 @@
 //! simulator: Mattson miss-ratio curves must agree with fully-associative
 //! LRU cache simulations of each size.
 
-use selcache_analysis::{PhaseConfig, PhaseDetector, ReuseProfiler, ReuseSpectrum};
+use selcache_analysis::{ReuseProfiler, ReuseSpectrum};
 use selcache_ir::{Addr, Interp};
 use selcache_mem::{Cache, CacheConfig};
 use selcache_workloads::{Benchmark, Scale};
@@ -29,53 +29,51 @@ fn fa_lru_miss_ratio(stream: &[u64], blocks: u64) -> f64 {
     lru_miss_ratio(stream, 1, blocks as u32)
 }
 
+/// The exact reuse-distance spectrum of a block stream.
+fn spectrum_of(stream: &[u64]) -> ReuseSpectrum {
+    let mut prof = ReuseProfiler::new(32);
+    let mut spec = ReuseSpectrum::new();
+    for &a in stream {
+        spec.record(prof.record(Addr(a)));
+    }
+    spec
+}
+
 #[test]
 fn mattson_curve_matches_direct_simulation() {
     // A benchmark trace at block granularity.
     let program = Benchmark::TpcDQ3.build(Scale::Tiny);
     let stream: Vec<u64> =
         Interp::new(&program).filter_map(|o| o.kind.addr().map(|a| a.0)).take(60_000).collect();
+    let spec = spectrum_of(&stream);
 
-    let mut prof = ReuseProfiler::new(32);
-    for &a in &stream {
-        prof.record(Addr(a));
-    }
-
-    for blocks in [64u64, 256, 1024, 4096] {
+    // The spectrum keeps every distance, so its curve equals a direct
+    // simulation at every size, powers of two or not.
+    for blocks in [64u64, 256, 1000, 1024, 4096] {
         let direct = fa_lru_miss_ratio(&stream, blocks);
-        // The histogram is log2-bucketed, so its estimate brackets the truth
-        // between the exact ratios at the surrounding powers of two.
-        let upper = prof.histogram().miss_ratio(blocks);
+        let est = spec.fa_miss_ratio(blocks);
         assert!(
-            upper >= direct - 1e-9,
-            "blocks={blocks}: histogram {upper:.4} below direct {direct:.4}"
-        );
-        let lower = prof.histogram().miss_ratio(blocks * 2);
-        assert!(
-            lower <= direct + 1e-9,
-            "blocks={blocks}: histogram(2x) {lower:.4} above direct {direct:.4}"
+            (est - direct).abs() < 1e-12,
+            "blocks={blocks}: spectrum {est:.6} vs direct {direct:.6}"
         );
     }
 }
 
 #[test]
 fn exact_power_of_two_sizes_match_exactly() {
-    // With distances recorded per power-of-two bucket, cache sizes that are
-    // powers of two have exact curves on synthetic cyclic streams.
+    // Cyclic streams: a loop that fits hits after its cold misses, and one
+    // that does not fit misses every time (cyclic LRU worst case).
     let n = 100u64;
     let stream: Vec<u64> = (0..5).flat_map(|_| (0..n).map(|b| b * 32)).collect();
-    let mut prof = ReuseProfiler::new(32);
-    for &a in &stream {
-        prof.record(Addr(a));
-    }
+    let spec = spectrum_of(&stream);
     // A 128-block LRU cache holds the whole 100-block loop: only cold misses.
     let direct = fa_lru_miss_ratio(&stream, 128);
-    let est = prof.histogram().miss_ratio(128);
+    let est = spec.fa_miss_ratio(128);
     assert!((direct - n as f64 / stream.len() as f64).abs() < 1e-9);
-    assert!((est - direct).abs() < 1e-9, "est {est} direct {direct}");
-    // A 64-block cache misses everything (cyclic LRU worst case).
+    assert!((est - direct).abs() < 1e-12, "est {est} direct {direct}");
+    // A 64-block cache misses everything.
     assert!((fa_lru_miss_ratio(&stream, 64) - 1.0).abs() < 1e-9);
-    assert!((prof.histogram().miss_ratio(64) - 1.0).abs() < 1e-9);
+    assert!((spec.fa_miss_ratio(64) - 1.0).abs() < 1e-12);
 }
 
 #[test]
@@ -88,12 +86,7 @@ fn set_assoc_projection_tracks_direct_simulation() {
         let program = bm.build(Scale::Tiny);
         let stream: Vec<u64> =
             Interp::new(&program).filter_map(|o| o.kind.addr().map(|a| a.0)).take(60_000).collect();
-        let mut prof = ReuseProfiler::new(32);
-        let mut spec = ReuseSpectrum::new();
-        for &a in &stream {
-            spec.record(prof.record(Addr(a)));
-        }
-        let model = spec.model();
+        let model = spectrum_of(&stream).model();
         let mut worst = 0.0f64;
         for (sets, assoc) in [(64u64, 2u32), (128, 2), (128, 4), (256, 4), (256, 8), (512, 8)] {
             let est = model.miss_ratio(sets, assoc);
@@ -117,12 +110,7 @@ fn fully_associative_projection_is_exact() {
     let program = Benchmark::TpcDQ6.build(Scale::Tiny);
     let stream: Vec<u64> =
         Interp::new(&program).filter_map(|o| o.kind.addr().map(|a| a.0)).take(40_000).collect();
-    let mut prof = ReuseProfiler::new(32);
-    let mut spec = ReuseSpectrum::new();
-    for &a in &stream {
-        spec.record(prof.record(Addr(a)));
-    }
-    let model = spec.model();
+    let model = spectrum_of(&stream).model();
     for blocks in [64u32, 256, 1000] {
         let direct = fa_lru_miss_ratio(&stream, blocks as u64);
         let est = model.miss_ratio(1, blocks);
@@ -130,31 +118,5 @@ fn fully_associative_projection_is_exact() {
             (est - direct).abs() < 1e-9,
             "blocks={blocks}: model {est:.6} vs direct {direct:.6}"
         );
-    }
-}
-
-#[test]
-fn phase_detector_sees_benchmark_phase_structure() {
-    // Chaos alternates edge/node/grid phases every timestep.
-    let program = Benchmark::Chaos.build(Scale::Tiny);
-    let mut d = PhaseDetector::new(PhaseConfig {
-        window: 8192,
-        signature_bits: 32 * 1024,
-        ..PhaseConfig::default()
-    });
-    let mut accesses = 0usize;
-    for op in Interp::new(&program) {
-        if let Some(a) = op.kind.addr() {
-            d.record(a);
-            accesses += 1;
-        }
-    }
-    let phases = d.finish();
-    assert!(phases.len() >= 3, "chaos should show >= 3 phases, got {}", phases.len());
-    assert_eq!(phases.first().unwrap().start, 0);
-    assert_eq!(phases.last().unwrap().end, accesses);
-    // Phases tile the stream without gaps.
-    for w in phases.windows(2) {
-        assert_eq!(w[0].end, w[1].start);
     }
 }

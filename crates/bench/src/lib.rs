@@ -28,8 +28,6 @@
 //! `table3`, `regions`, and `sweep` accept `--format text|json|csv`.
 //! The `selcached` binary runs the same engine as a long-lived unix-socket
 //! service (see `DESIGN.md`).
-//! Criterion benches (`cargo bench`) measure simulator component
-//! throughput and run the ablation studies listed in `DESIGN.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

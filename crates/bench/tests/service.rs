@@ -1,11 +1,14 @@
 //! In-process integration test of the `selcached` service: a server on a
 //! temp socket, concurrent clients with overlapping job sets, cross-client
-//! dedup through the shared store, and graceful shutdown.
+//! dedup through the shared store, clients that drop mid-stream, and
+//! graceful shutdown.
 #![cfg(unix)]
 
 use selcache_bench::service::{self, Server};
 use selcache_core::json::Json;
 use selcache_core::{JobEngine, Store};
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -61,7 +64,7 @@ fn uint(j: &Json, key: &str) -> u64 {
 fn await_server(sock: &Path) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        if std::os::unix::net::UnixStream::connect(sock).is_ok() {
+        if UnixStream::connect(sock).is_ok() {
             return;
         }
         assert!(Instant::now() < deadline, "server never came up on {}", sock.display());
@@ -157,6 +160,51 @@ fn concurrent_clients_share_one_store() {
     assert_eq!(kind(&bye[0]), "bye");
     server_thread.join().expect("server thread");
     assert!(!sock.exists(), "socket file removed on shutdown");
+    service::reset_shutdown();
+}
+
+#[test]
+fn client_dropping_mid_stream_leaves_server_and_results_intact() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    service::reset_shutdown();
+    let root = TempRoot::new("drop");
+    let sock = root.0.join("drop.sock");
+    let store = Store::open(root.0.join("store")).expect("open store");
+    let server = Server::bind(&sock, JobEngine::with_store(1, store)).expect("bind");
+    let server_thread = std::thread::spawn(move || server.run().expect("server run"));
+    await_server(&sock);
+
+    // Send a run request and hang up without reading. The server must
+    // survive the lost client and still finish and store the run.
+    const RUN: &str = r#"{"op":"run","jobs":[{"benchmark":"adi","scale":"tiny","version":"base"},{"benchmark":"li","scale":"tiny","version":"base"}]}"#;
+    let mut dropped = UnixStream::connect(&sock).expect("connect");
+    dropped.write_all(format!("{RUN}\n").as_bytes()).expect("send run");
+    drop(dropped);
+
+    // The run still completes from the server's side.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = request(&sock, r#"{"op":"stats"}"#);
+        if uint(&stats[0], "executed") == 2 && uint(&stats[0], "in_flight_jobs") == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "dropped client's run never finished: {}", stats[0]);
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let lines = request(&sock, r#"{"op":"ping"}"#);
+    assert_eq!(kind(&lines[0]), "pong");
+
+    // The dropped client's results were stored: a new client gets both
+    // from the store.
+    let lines = request(&sock, RUN);
+    assert_eq!(lines.len(), 3, "2 results + done: {lines:?}");
+    assert_eq!(kind(&lines[0]), "result");
+    assert_eq!(kind(&lines[1]), "result");
+    assert_eq!(uint(lines[2].get("engine").expect("done.engine"), "store_hits"), 2);
+
+    let bye = request(&sock, r#"{"op":"shutdown"}"#);
+    assert_eq!(kind(&bye[0]), "bye");
+    server_thread.join().expect("server thread");
     service::reset_shutdown();
 }
 

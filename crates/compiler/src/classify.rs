@@ -101,12 +101,6 @@ pub fn loop_counts(l: &Loop) -> RefCounts {
     items_counts(&l.body)
 }
 
-/// Selects the optimization method for a loop: compiler (software) when the
-/// analyzable ratio exceeds `threshold`, hardware otherwise.
-pub fn classify_loop(l: &Loop, threshold: f64) -> Preference {
-    loop_counts(l).preference(threshold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +117,7 @@ mod tests {
         });
         let p = b.finish().unwrap();
         let l = p.items[0].as_loop().unwrap();
-        assert_eq!(classify_loop(l, 0.5), Preference::Software);
+        assert_eq!(loop_counts(l).preference(0.5), Preference::Software);
         assert_eq!(loop_counts(l).ratio(), 1.0);
     }
 
@@ -139,7 +133,7 @@ mod tests {
         });
         let p = b.finish().unwrap();
         let l = p.items[0].as_loop().unwrap();
-        assert_eq!(classify_loop(l, 0.5), Preference::Hardware);
+        assert_eq!(loop_counts(l).preference(0.5), Preference::Hardware);
     }
 
     #[test]
@@ -156,8 +150,8 @@ mod tests {
         });
         let p = b.finish().unwrap();
         let l = p.items[0].as_loop().unwrap();
-        assert_eq!(classify_loop(l, 0.5), Preference::Software);
-        assert_eq!(classify_loop(l, 0.7), Preference::Hardware);
+        assert_eq!(loop_counts(l).preference(0.5), Preference::Software);
+        assert_eq!(loop_counts(l).preference(0.7), Preference::Hardware);
     }
 
     #[test]
@@ -170,7 +164,7 @@ mod tests {
         });
         let p = b.finish().unwrap();
         let l = p.items[0].as_loop().unwrap();
-        assert_eq!(classify_loop(l, 0.5), Preference::Software);
+        assert_eq!(loop_counts(l).preference(0.5), Preference::Software);
     }
 
     #[test]

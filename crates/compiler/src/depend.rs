@@ -28,13 +28,6 @@ pub struct Dependence {
     pub distance: Vec<Dist>,
 }
 
-impl Dependence {
-    /// True if every element is exactly zero (loop-independent dependence).
-    pub fn is_loop_independent(&self) -> bool {
-        self.distance.iter().all(|d| *d == Dist::Exact(0))
-    }
-}
-
 /// Extracts the nest-variable terms of an affine subscript expression,
 /// returning `(terms over nest vars, constant)`; terms on variables outside
 /// the nest are folded into an "outer" marker by returning `None` (the
@@ -322,14 +315,6 @@ mod tests {
         assert!(!band_fully_permutable(&deps, 0..2));
         // The negative component is outside the band.
         assert!(band_fully_permutable(&deps, 0..1));
-    }
-
-    #[test]
-    fn loop_independent_detection() {
-        let d = Dependence { distance: vec![Dist::Exact(0), Dist::Exact(0)] };
-        assert!(d.is_loop_independent());
-        let d = Dependence { distance: vec![Dist::Exact(0), Dist::Any] };
-        assert!(!d.is_loop_independent());
     }
 
     #[test]

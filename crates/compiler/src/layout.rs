@@ -10,7 +10,6 @@
 use crate::classify::Preference;
 use crate::nest::PerfectNest;
 use crate::region::{analyze_loop, RegionClass};
-use selcache_ir::Subscript;
 use selcache_ir::{Item, Layout, Program, RefPattern};
 
 /// One array's accumulated votes: weight per source dimension.
@@ -104,12 +103,6 @@ pub fn select_layouts(program: &mut Program, threshold: f64) -> usize {
     changed
 }
 
-/// True if `subscripts`' last dimension is traversed by `var` — helper used
-/// in tests and diagnostics.
-pub fn last_dim_uses(subscripts: &[Subscript], var: selcache_ir::VarId) -> bool {
-    subscripts.last().is_some_and(|s| s.uses(var))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,13 +193,5 @@ mod tests {
         });
         let mut p = b.finish().unwrap();
         assert_eq!(select_layouts(&mut p, 0.5), 0);
-    }
-
-    #[test]
-    fn helper_last_dim_uses() {
-        let subs =
-            vec![Subscript::var(selcache_ir::VarId(0)), Subscript::var(selcache_ir::VarId(1))];
-        assert!(last_dim_uses(&subs, selcache_ir::VarId(1)));
-        assert!(!last_dim_uses(&subs, selcache_ir::VarId(0)));
     }
 }

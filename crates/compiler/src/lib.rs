@@ -58,7 +58,7 @@ pub mod tiling;
 pub mod unroll;
 
 pub use assist_aware::{insert_markers_for, AssistPolicy};
-pub use classify::{classify_loop, loop_counts, Preference, RefCounts};
+pub use classify::{loop_counts, Preference, RefCounts};
 pub use depend::{band_fully_permutable, nest_dependences, permutation_legal, Dependence, Dist};
 pub use distribution::{distribute_loops, distribute_nest};
 pub use fusion::{fuse_loops, FusionStats};
@@ -77,4 +77,4 @@ pub use region::{
 pub use reuse::{innermost_cost, preferred_permutation, ref_stride};
 pub use scalar::scalar_replace;
 pub use tiling::{tile_nest, IdAlloc, TilingConfig};
-pub use unroll::{unroll_and_jam, unroll_and_jam_program, UnrollConfig};
+pub use unroll::{unroll_and_jam, UnrollConfig};

@@ -16,7 +16,7 @@
 
 use crate::depend::{band_fully_permutable, nest_dependences};
 use crate::nest::{NestLevel, PerfectNest};
-use selcache_ir::{AffineExpr, Item, Loop, Program, RefPattern, Trip, VarId};
+use selcache_ir::{AffineExpr, Item, Loop, RefPattern, Trip, VarId};
 
 /// Unroll-and-jam parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,14 +118,6 @@ pub fn unroll_and_jam(l: &Loop, cfg: &UnrollConfig) -> Option<Loop> {
     let mut levels: Vec<NestLevel> = nest.levels.clone();
     levels[0] = NestLevel { id: outer.id, var: outer.var, trip: Trip::Const(n / factor) };
     Some(PerfectNest { levels, body: vec![Item::Block(body_stmts)] }.rebuild())
-}
-
-/// Applies unroll-and-jam across all software regions of a program;
-/// returns how many nests changed.
-pub fn unroll_and_jam_program(program: &mut Program, threshold: f64, cfg: &UnrollConfig) -> usize {
-    crate::passes::apply_to_software_loops(program, threshold, &mut |_arrays, _ids, l| {
-        unroll_and_jam(l, cfg)
-    })
 }
 
 #[cfg(test)]

@@ -65,15 +65,6 @@ impl RegionStats {
         }
     }
 
-    /// L1d miss rate in percent (0 when the region made no accesses).
-    pub fn l1d_miss_pct(&self) -> f64 {
-        if self.l1d_accesses == 0 {
-            0.0
-        } else {
-            self.l1d_misses as f64 / self.l1d_accesses as f64 * 100.0
-        }
-    }
-
     fn add(&mut self, other: &RegionStats) {
         self.cycles += other.cycles;
         self.committed += other.committed;
@@ -323,7 +314,6 @@ mod tests {
     fn rate_helpers_guard_zero_denominators() {
         let empty = RegionStats::default();
         assert_eq!(empty.assist_coverage_pct(), 0.0);
-        assert_eq!(empty.l1d_miss_pct(), 0.0);
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl SweepSpec {
         self.benchmark
     }
 
-    /// The declared axes, in declaration order.
-    pub fn axes(&self) -> &[(SweepAxis, Vec<u64>)] {
-        &self.axes
-    }
-
     /// Number of grid points (product of axis lengths).
     pub fn points(&self) -> usize {
         self.axes.iter().map(|(_, v)| v.len()).product()
@@ -800,7 +795,8 @@ mod tests {
             .axis(SweepAxis::L1Size, [8192])
             .axis(SweepAxis::L1Size, [16384, 32768]);
         assert_eq!(spec.points(), 2);
-        assert_eq!(spec.axes().len(), 1);
+        // Appending would give [[8192, 16384], [8192, 32768]].
+        assert_eq!(spec.grid(), vec![vec![16384], vec![32768]]);
     }
 
     #[test]

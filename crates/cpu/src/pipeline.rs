@@ -211,11 +211,6 @@ impl Pipeline {
         &self.stats.stats
     }
 
-    /// Branch-predictor accuracy so far (0.0 before any branch executes).
-    pub fn predictor_accuracy(&self) -> f64 {
-        self.predictor.accuracy()
-    }
-
     fn commit<P: Probe>(&mut self, probe: &mut P) {
         let mut n = 0;
         while n < self.cfg.commit_width {

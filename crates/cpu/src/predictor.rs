@@ -14,8 +14,6 @@
 #[derive(Debug, Clone)]
 pub struct Bimodal {
     counters: Vec<u8>,
-    lookups: u64,
-    correct: u64,
 }
 
 impl Bimodal {
@@ -27,7 +25,7 @@ impl Bimodal {
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "predictor must have entries");
-        Bimodal { counters: vec![2; entries.next_power_of_two()], lookups: 0, correct: 0 }
+        Bimodal { counters: vec![2; entries.next_power_of_two()] }
     }
 
     fn index(&self, pc: u64) -> usize {
@@ -49,26 +47,7 @@ impl Bimodal {
         } else {
             self.counters[i] = self.counters[i].saturating_sub(1);
         }
-        self.lookups += 1;
-        if predicted == taken {
-            self.correct += 1;
-        }
         predicted == taken
-    }
-
-    /// Fraction of correct predictions so far (0.0 before any update, so an
-    /// empty run never reports a NaN-adjacent vacuous 100%).
-    pub fn accuracy(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.lookups as f64
-        }
-    }
-
-    /// Number of predictions made.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 }
 
@@ -117,11 +96,9 @@ mod tests {
     #[test]
     fn accuracy_tracks() {
         let mut p = Bimodal::new(16);
-        p.update(0, true); // predicted taken (init 2) -> correct
-        p.update(0, true); // correct
-        p.update(0, false); // wrong
-        assert!((p.accuracy() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p.lookups(), 3);
+        assert!(p.update(0, true)); // predicted taken (init 2) -> correct
+        assert!(p.update(0, true)); // correct
+        assert!(!p.update(0, false)); // wrong
     }
 
     #[test]

@@ -270,12 +270,6 @@ impl StmtBuilder {
         self
     }
 
-    /// Adds a raw reference.
-    pub fn raw(&mut self, r: Ref) -> &mut Self {
-        self.refs.push(r);
-        self
-    }
-
     /// Adds `n` integer ALU operations.
     pub fn int(&mut self, n: u16) -> &mut Self {
         self.int_ops += n;
@@ -308,7 +302,6 @@ mod tests {
         });
         let p = b.finish().unwrap();
         assert_eq!(p.loop_count(), 2);
-        assert_eq!(p.stmt_count(), 1);
         assert_eq!(p.num_vars, 2);
     }
 

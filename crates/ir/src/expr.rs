@@ -81,14 +81,6 @@ impl AffineExpr {
         self
     }
 
-    /// Adds the term `coeff * v`.
-    #[must_use]
-    pub fn plus_term(mut self, v: VarId, coeff: i64) -> Self {
-        self.terms.push((v, coeff));
-        self.normalize();
-        self
-    }
-
     /// Sum of two affine expressions.
     #[must_use]
     pub fn add(&self, other: &AffineExpr) -> Self {
@@ -117,11 +109,6 @@ impl AffineExpr {
     /// True if the expression references `v`.
     pub fn uses(&self, v: VarId) -> bool {
         self.coeff(v) != 0
-    }
-
-    /// True if the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// Evaluates under an environment mapping `VarId(k)` to `env[k]`.
@@ -406,11 +393,5 @@ mod tests {
     fn subscript_rename() {
         let s = Subscript::Product(v(0), v(1)).rename(v(1), v(5));
         assert_eq!(s, Subscript::Product(v(0), v(5)));
-    }
-
-    #[test]
-    fn constant_expr_is_constant() {
-        assert!(AffineExpr::constant(7).is_constant());
-        assert!(!AffineExpr::var(v(0)).is_constant());
     }
 }

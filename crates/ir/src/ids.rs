@@ -28,13 +28,6 @@ impl Addr {
         self.0 / block_size
     }
 
-    /// Offset within a block of the given size in bytes.
-    #[inline]
-    pub fn block_offset(self, block_size: u64) -> u64 {
-        debug_assert!(block_size > 0);
-        self.0 % block_size
-    }
-
     /// The address advanced by `bytes`.
     #[inline]
     pub fn offset(self, bytes: u64) -> Addr {
@@ -137,7 +130,6 @@ mod tests {
     fn addr_block_math() {
         let a = Addr(100);
         assert_eq!(a.block(32), 3);
-        assert_eq!(a.block_offset(32), 4);
         assert_eq!(a.offset(28).0, 128);
     }
 

@@ -121,12 +121,6 @@ impl<'p> Interp<'p> {
         Self::from_holder(program, PlanHolder::Owned(Box::new(Plan::compile(program))))
     }
 
-    /// Creates an interpreter with an explicit address map (for experiments
-    /// that relocate arrays).
-    pub fn with_address_map(program: &'p Program, amap: AddressMap) -> Self {
-        Self::from_holder(program, PlanHolder::Owned(Box::new(Plan::compile_with(program, amap))))
-    }
-
     /// Creates an interpreter over a pre-compiled [`Plan`], sharing one
     /// compilation across sizing ([`Plan::trace_len`]) and streaming runs.
     ///

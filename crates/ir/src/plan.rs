@@ -76,9 +76,8 @@ pub(crate) enum PlanNode {
 
 /// A compiled, reusable lowering of a [`Program`].
 ///
-/// Compile once with [`Plan::compile`] (or [`Plan::compile_with`] for a
-/// custom [`AddressMap`]) and share it across [`crate::Interp`] instances via
-/// [`crate::Interp::with_plan`] — e.g. to size a trace with
+/// Compile once with [`Plan::compile`] and share it across
+/// [`crate::Interp`] instances via [`crate::Interp::with_plan`] — e.g. to size a trace with
 /// [`Plan::trace_len`] and then stream it without paying a second program
 /// walk. A plan captures the program's arrays, layouts, and address map at
 /// compile time; recompile after mutating the program.
@@ -99,12 +98,7 @@ pub struct Plan {
 impl Plan {
     /// Compiles `program` under its default address map.
     pub fn compile(program: &Program) -> Plan {
-        Self::compile_with(program, program.address_map())
-    }
-
-    /// Compiles `program` under an explicit address map (for experiments
-    /// that relocate arrays).
-    pub fn compile_with(program: &Program, amap: AddressMap) -> Plan {
+        let amap = program.address_map();
         // env[v] stays within [0, max(0, trip.max() - 1)]: it is 0 until the
         // binding loop first runs and retains its last iteration value after.
         let mut var_max = vec![0i64; program.num_vars as usize];

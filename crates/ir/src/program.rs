@@ -281,14 +281,6 @@ impl Item {
             _ => None,
         }
     }
-
-    /// The loop, mutably, if this item is one.
-    pub fn as_loop_mut(&mut self) -> Option<&mut Loop> {
-        match self {
-            Item::Loop(l) => Some(l),
-            _ => None,
-        }
-    }
 }
 
 /// Validation failure for a [`Program`]; see [`Program::validate`].
@@ -528,13 +520,6 @@ impl Program {
         walk(&self.items, &mut f);
     }
 
-    /// Counts statements.
-    pub fn stmt_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_stmt(|_| n += 1);
-        n
-    }
-
     /// Counts loops.
     pub fn loop_count(&self) -> usize {
         let mut n = 0;
@@ -705,7 +690,6 @@ mod tests {
                 Item::Marker(Marker::Off),
             ],
         };
-        assert_eq!(p.stmt_count(), 2);
         assert_eq!(p.loop_count(), 1);
         assert_eq!(p.marker_count(), 2);
     }

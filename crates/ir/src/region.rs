@@ -8,13 +8,12 @@
 //! consults the map to stamp every [`crate::TraceOp`] it emits with a
 //! [`RegionId`], and downstream probes bucket dynamic events by that id.
 //!
-//! Maps are produced either structurally (one region per top-level item, see
-//! [`RegionMap::structural`]) or by the compiler's region partition, which
-//! mirrors the marker-insertion granularity of the paper's Section 2.2
-//! algorithm (see `selcache-compiler`).
+//! Maps are produced by the compiler's region partition, which mirrors the
+//! marker-insertion granularity of the paper's Section 2.2 algorithm (see
+//! `selcache-compiler`), through a [`RegionMapBuilder`].
 
 use crate::ids::RegionId;
-use crate::program::{Item, Program};
+use crate::program::Item;
 use crate::trace::site_index;
 
 /// Per-site region assignment plus human-readable region labels.
@@ -29,26 +28,6 @@ pub struct RegionMap {
 }
 
 impl RegionMap {
-    /// A trivial map: every top-level item of the program is its own region,
-    /// labelled by kind. Useful when no compiler partition is available.
-    pub fn structural(program: &Program) -> RegionMap {
-        let mut b = RegionMapBuilder::new();
-        for (k, item) in program.items.iter().enumerate() {
-            match item {
-                Item::Loop(l) => {
-                    b.open(format!("item{k}:L{}", l.id.0));
-                    b.sites(site_count(std::slice::from_ref(item)));
-                }
-                Item::Block(stmts) => {
-                    b.open(format!("item{k}:stmts"));
-                    b.sites(stmts.len());
-                }
-                Item::Marker(_) => b.pending_site(),
-            }
-        }
-        b.finish()
-    }
-
     /// Number of regions (labels).
     pub fn num_regions(&self) -> usize {
         self.labels.len()
@@ -171,8 +150,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::expr::Subscript;
-    use crate::interp::Interp;
-    use crate::program::Marker;
+    use crate::program::{Marker, Program};
     use crate::trace::TEXT_BASE;
 
     fn two_loop_program() -> Program {
@@ -229,18 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn structural_map_covers_every_emitted_pc() {
-        let p = two_loop_program();
-        let map = RegionMap::structural(&p);
-        assert_eq!(map.num_sites(), site_count(&p.items));
-        for op in Interp::with_regions(&p, &map) {
-            assert!(!op.region.is_none(), "op at {:#x} has no region", op.pc);
-        }
-    }
-
-    #[test]
     fn out_of_range_site_is_none() {
-        let map = RegionMap::structural(&two_loop_program());
+        let mut b = RegionMapBuilder::new();
+        b.open("only");
+        b.sites(8);
+        let map = b.finish();
         assert_eq!(map.region_of_site(1000), RegionId::NONE);
         assert_eq!(map.region_of_pc(0), RegionId::NONE);
     }

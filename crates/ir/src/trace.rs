@@ -100,12 +100,6 @@ impl TraceOp {
     pub fn with_dep(pc: u64, kind: OpKind, dep: u16) -> Self {
         TraceOp { pc, kind, dep, region: RegionId::NONE }
     }
-
-    /// Returns the op tagged with the given region.
-    pub fn with_region(mut self, region: RegionId) -> Self {
-        self.region = region;
-        self
-    }
 }
 
 impl fmt::Display for TraceOp {
@@ -136,6 +130,9 @@ mod tests {
         let op = TraceOp::with_dep(0x400000, OpKind::Load(Addr(0x1000)), 2);
         assert_eq!(op.to_string(), "0x400000: ld 0x1000 (dep -2)");
         assert_eq!(TraceOp::new(4, OpKind::Branch { taken: false }).to_string(), "0x4: br N");
+        // Ops built outside a partitioned run fall in the default region.
+        assert!(TraceOp::new(TEXT_BASE, OpKind::IntAlu).region.is_none());
+        assert!(op.region.is_none());
     }
 
     #[test]
@@ -144,12 +141,5 @@ mod tests {
         assert_eq!(site_index(TEXT_BASE + SITE_BYTES - 1), Some(0));
         assert_eq!(site_index(TEXT_BASE + 3 * SITE_BYTES + 8), Some(3));
         assert_eq!(site_index(0), None);
-    }
-
-    #[test]
-    fn region_tagging() {
-        let op = TraceOp::new(TEXT_BASE, OpKind::IntAlu);
-        assert!(op.region.is_none());
-        assert_eq!(op.with_region(RegionId(2)).region, RegionId(2));
     }
 }

@@ -158,14 +158,9 @@ impl BypassEngine {
         self.bypassed
     }
 
-    /// Read access to the MAT (for ablation studies).
+    /// Read access to the MAT.
     pub fn mat(&self) -> &Mat {
         &self.mat
-    }
-
-    /// Read access to the SLDT (for ablation studies).
-    pub fn sldt(&self) -> &Sldt {
-        &self.sldt
     }
 }
 
@@ -179,8 +174,12 @@ mod tests {
 
     #[test]
     fn buffer_capacity_from_bytes() {
-        let e = engine();
-        assert_eq!(e.buffer.capacity(), 16); // 512 B / 32 B
+        // 512 B / 32 B = 16 blocks: the 17th distinct block evicts the first.
+        let mut e = engine();
+        for b in 0..16 {
+            assert_eq!(e.insert_buffer(b, true), None);
+        }
+        assert_eq!(e.insert_buffer(16, true), Some(BufferEviction { block: 0, dirty: true }));
     }
 
     #[test]

@@ -370,15 +370,6 @@ impl Cache {
         self.set(si).iter().position(|l| !l.valid).unwrap_or_else(|| self.peek_victim(si))
     }
 
-    /// Removes `block`, returning its dirty bit if it was present.
-    pub fn invalidate(&mut self, block: u64) -> Option<bool> {
-        let base = self.set_index(block) * self.assoc;
-        let line =
-            self.lines[base..base + self.assoc].iter_mut().find(|l| l.valid && l.block == block)?;
-        line.valid = false;
-        Some(line.dirty)
-    }
-
     /// Number of valid lines currently resident.
     pub fn resident(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
@@ -497,15 +488,6 @@ mod tests {
         c.fill(0, false);
         assert_eq!(c.victim_for(0), None); // present
         assert_eq!(c.victim_for(4), None); // invalid way available
-    }
-
-    #[test]
-    fn invalidate_removes() {
-        let mut c = tiny();
-        c.fill(0, true);
-        assert_eq!(c.invalidate(0), Some(true));
-        assert!(!c.probe(0));
-        assert_eq!(c.invalidate(0), None);
     }
 
     #[test]

@@ -22,7 +22,7 @@ struct Node {
 /// let mut s = LruSet::new(2);
 /// assert_eq!(s.insert(1, false), None);
 /// assert_eq!(s.insert(2, false), None);
-/// assert!(s.touch(1)); // 1 becomes MRU
+/// assert_eq!(s.insert(1, false), None); // 1 becomes MRU
 /// let evicted = s.insert(3, false).map(|(k, _)| k);
 /// assert_eq!(evicted, Some(2));
 /// ```
@@ -56,11 +56,6 @@ impl LruSet {
         }
     }
 
-    /// Maximum number of keys.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of keys.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -74,16 +69,6 @@ impl LruSet {
     /// True if `key` is present (does not update recency).
     pub fn contains(&self, key: u64) -> bool {
         self.map.get(key).is_some()
-    }
-
-    /// Marks `key` as most recently used; returns false if absent.
-    pub fn touch(&mut self, key: u64) -> bool {
-        let Some(idx) = self.map.get(key) else {
-            return false;
-        };
-        self.unlink(idx);
-        self.link_front(idx);
-        true
     }
 
     /// Inserts `key` as MRU, returning the evicted `(key, dirty)` pair if the
@@ -150,15 +135,6 @@ impl LruSet {
         Some(dirty)
     }
 
-    /// Removes every key.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     fn unlink(&mut self, idx: u32) {
         let (prev, next) = {
             let n = &self.nodes[idx as usize];
@@ -208,22 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn touch_changes_order() {
-        let mut s = LruSet::new(2);
-        s.insert(1, false);
-        s.insert(2, false);
-        assert!(s.touch(1));
-        assert_eq!(s.insert(3, false), Some((2, false)));
-        assert!(s.contains(1));
-    }
-
-    #[test]
-    fn touch_missing_is_false() {
-        let mut s = LruSet::new(2);
-        assert!(!s.touch(9));
-    }
-
-    #[test]
     fn reinsert_refreshes_and_merges_dirty() {
         let mut s = LruSet::new(2);
         s.insert(1, false);
@@ -244,17 +204,6 @@ mod tests {
         assert_eq!(s.remove(1), None);
         assert_eq!(s.insert(3, false), None);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut s = LruSet::new(4);
-        for k in 0..4 {
-            s.insert(k, false);
-        }
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.insert(9, false), None);
     }
 
     #[test]

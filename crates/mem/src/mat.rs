@@ -36,7 +36,6 @@ pub struct Mat {
     tags: Vec<u64>,
     counts: Vec<u32>,
     since_decay: u64,
-    records: u64,
 }
 
 impl Mat {
@@ -48,18 +47,7 @@ impl Mat {
     pub fn new(cfg: MatConfig) -> Self {
         assert!(cfg.entries > 0, "MAT must have entries");
         assert!(cfg.macro_block.is_power_of_two(), "macro-block size must be a power of two");
-        Mat {
-            cfg,
-            tags: vec![u64::MAX; cfg.entries],
-            counts: vec![0; cfg.entries],
-            since_decay: 0,
-            records: 0,
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MatConfig {
-        &self.cfg
+        Mat { cfg, tags: vec![u64::MAX; cfg.entries], counts: vec![0; cfg.entries], since_decay: 0 }
     }
 
     /// Macro-block number of an address.
@@ -82,7 +70,6 @@ impl Mat {
             self.tags[i] = tag;
             self.counts[i] = 1;
         }
-        self.records += 1;
         self.since_decay += 1;
         if self.since_decay >= self.cfg.decay_interval {
             self.since_decay = 0;
@@ -118,11 +105,6 @@ impl Mat {
         let inc = self.count(incoming);
         let res = self.count(resident_victim);
         inc.saturating_mul(4) < res && res >= 8
-    }
-
-    /// Total recorded accesses.
-    pub fn records(&self) -> u64 {
-        self.records
     }
 }
 
@@ -184,13 +166,5 @@ mod tests {
         assert_eq!(m.count(Addr(0)), 9);
         m.record(Addr(0)); // 10th record triggers decay: (9+1)/2
         assert_eq!(m.count(Addr(0)), 5);
-    }
-
-    #[test]
-    fn records_counted() {
-        let mut m = mat();
-        m.record(Addr(0));
-        m.record(Addr(1));
-        assert_eq!(m.records(), 2);
     }
 }

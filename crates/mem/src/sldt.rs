@@ -44,7 +44,6 @@ struct Entry {
 pub struct Sldt {
     cfg: SldtConfig,
     entries: Vec<Entry>,
-    spatial_hits: u64,
 }
 
 impl Sldt {
@@ -60,13 +59,7 @@ impl Sldt {
         Sldt {
             cfg,
             entries: vec![Entry { tag: 0, last_block: 0, counter: 0, valid: false }; cfg.entries],
-            spatial_hits: 0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SldtConfig {
-        &self.cfg
     }
 
     fn slot(&self, addr: Addr) -> (usize, u64) {
@@ -82,7 +75,6 @@ impl Sldt {
         if e.valid && e.tag == tag {
             if block == e.last_block + 1 || (e.last_block > 0 && block == e.last_block - 1) {
                 e.counter = (e.counter + 1).min(self.cfg.max);
-                self.spatial_hits += 1;
             } else if block != e.last_block {
                 e.counter = (e.counter - 1).max(self.cfg.min);
             }
@@ -98,11 +90,6 @@ impl Sldt {
         let (i, tag) = self.slot(addr);
         let e = &self.entries[i];
         e.valid && e.tag == tag && e.counter >= self.cfg.threshold
-    }
-
-    /// Number of detected spatial hits.
-    pub fn spatial_hits(&self) -> u64 {
-        self.spatial_hits
     }
 }
 
@@ -121,7 +108,6 @@ mod tests {
             s.record(Addr(b * 32));
         }
         assert!(s.wants_large_fetch(Addr(0)));
-        assert_eq!(s.spatial_hits(), 7);
     }
 
     #[test]

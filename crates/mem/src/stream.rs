@@ -49,8 +49,6 @@ pub struct StreamBuffers {
     buffers: Vec<Buffer>,
     stamp: u64,
     hits: u64,
-    allocations: u64,
-    prefetches: u64,
 }
 
 impl StreamBuffers {
@@ -67,8 +65,6 @@ impl StreamBuffers {
             buffers: vec![Buffer { head: 0, ready: 0, stamp: 0, valid: false }; cfg.buffers],
             stamp: 0,
             hits: 0,
-            allocations: 0,
-            prefetches: 0,
         }
     }
 
@@ -88,7 +84,6 @@ impl StreamBuffers {
             // Keep the stream `depth` blocks ahead: one new prefetch per
             // consumed block.
             self.hits += 1;
-            self.prefetches += 1;
             return Some(true);
         }
         // Allocate the LRU buffer for a new stream starting after the miss.
@@ -101,24 +96,12 @@ impl StreamBuffers {
         lru.head = block + 1;
         lru.ready = self.cfg.depth;
         lru.stamp = stamp;
-        self.allocations += 1;
-        self.prefetches += u64::from(self.cfg.depth);
         None
     }
 
     /// Misses served by a stream buffer.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Stream (re)allocations.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Prefetch fetches issued (bandwidth consumed downstream).
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches
     }
 }
 

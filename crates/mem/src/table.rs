@@ -118,11 +118,6 @@ impl BlockMap {
             }
         }
     }
-
-    pub fn clear(&mut self) {
-        self.vals.fill(EMPTY);
-        self.len = 0;
-    }
 }
 
 /// Bits per [`PagedBits`] page (4 KiB of payload).
@@ -218,16 +213,6 @@ mod tests {
             }
             assert_eq!(m.len(), h.len());
         }
-    }
-
-    #[test]
-    fn block_map_clear() {
-        let mut m = BlockMap::with_capacity(4);
-        m.insert(1, 1);
-        m.clear();
-        assert_eq!((m.len(), m.get(1)), (0, None));
-        m.insert(1, 9);
-        assert_eq!(m.get(1), Some(9));
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct Tlb {
     /// `log2(page_size)`; pages are powers of two, so page numbers shift.
     page_shift: u32,
     misses: u64,
-    accesses: u64,
 }
 
 impl Tlb {
@@ -57,14 +56,12 @@ impl Tlb {
             page_shift: cfg.page_size.trailing_zeros(),
             cfg,
             misses: 0,
-            accesses: 0,
         }
     }
 
     /// Translates `addr`, returning the extra latency (0 on a hit, the miss
     /// penalty on a miss). The missing translation is installed.
     pub fn access(&mut self, addr: Addr) -> u64 {
-        self.accesses += 1;
         let page = addr.0 >> self.page_shift;
         if self.cache.access(page, false).is_hit() {
             0
@@ -79,11 +76,6 @@ impl Tlb {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Total accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +89,6 @@ mod tests {
         assert_eq!(t.access(Addr(0x1FF8)), 0); // same page
         assert_eq!(t.access(Addr(0x2000)), 30); // next page
         assert_eq!(t.misses(), 2);
-        assert_eq!(t.accesses(), 3);
     }
 
     #[test]

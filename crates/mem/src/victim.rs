@@ -17,8 +17,6 @@ use crate::lru::LruSet;
 pub struct VictimCache {
     set: LruSet,
     hits: u64,
-    probes: u64,
-    inserts: u64,
 }
 
 impl VictimCache {
@@ -28,13 +26,12 @@ impl VictimCache {
     ///
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
-        VictimCache { set: LruSet::new(entries), hits: 0, probes: 0, inserts: 0 }
+        VictimCache { set: LruSet::new(entries), hits: 0 }
     }
 
     /// Probes for `block`; on a hit the block is removed (it is being swapped
     /// back into the primary cache) and its dirty bit returned.
     pub fn probe_remove(&mut self, block: u64) -> Option<bool> {
-        self.probes += 1;
         let dirty = self.set.remove(block)?;
         self.hits += 1;
         Some(dirty)
@@ -43,33 +40,12 @@ impl VictimCache {
     /// Inserts an evicted block; returns a block pushed out of the victim
     /// cache (with its dirty bit) if it was full.
     pub fn insert(&mut self, block: u64, dirty: bool) -> Option<(u64, bool)> {
-        self.inserts += 1;
         self.set.insert(block, dirty)
     }
 
     /// Number of successful probes.
     pub fn hits(&self) -> u64 {
         self.hits
-    }
-
-    /// Number of probes.
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Number of insertions.
-    pub fn inserts(&self) -> u64 {
-        self.inserts
-    }
-
-    /// Number of blocks currently held.
-    pub fn resident(&self) -> usize {
-        self.set.len()
-    }
-
-    /// Capacity in blocks.
-    pub fn capacity(&self) -> usize {
-        self.set.capacity()
     }
 }
 
@@ -84,7 +60,6 @@ mod tests {
         assert_eq!(v.probe_remove(1), Some(true));
         assert_eq!(v.probe_remove(1), None);
         assert_eq!(v.hits(), 1);
-        assert_eq!(v.probes(), 2);
     }
 
     #[test]
@@ -93,8 +68,6 @@ mod tests {
         v.insert(1, false);
         v.insert(2, true);
         assert_eq!(v.insert(3, false), Some((1, false)));
-        assert_eq!(v.resident(), 2);
-        assert_eq!(v.inserts(), 3);
     }
 
     #[test]

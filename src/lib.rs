@@ -18,7 +18,7 @@
 //! - [`compiler`] — region detection, ON/OFF insertion, locality transforms
 //! - [`workloads`] — the 13 synthetic benchmarks
 //! - [`core`] — the integrated framework, experiment runner, and reports
-//! - [`analysis`] — reuse-distance, miss-ratio-curve, and phase analysis
+//! - [`analysis`] — reuse distances, miss-ratio models, and sampling intervals
 //!
 //! ## Quickstart
 //!

@@ -1,7 +1,7 @@
 //! Cross-validation between the analysis crate's model-free predictions and
 //! the cycle-accurate simulator's measurements.
 
-use selcache::analysis::ReuseProfiler;
+use selcache::analysis::{ReuseProfiler, ReuseSpectrum};
 use selcache::core::{
     AssistKind, Experiment, JobEngine, MachineConfig, SweepAxis, SweepMode, SweepSpec, Version,
 };
@@ -16,14 +16,15 @@ fn reuse_profile_predicts_l1_miss_rate() {
     for bm in [Benchmark::TpcDQ6, Benchmark::Li, Benchmark::Vpenta] {
         let program = bm.build(Scale::Tiny);
         let mut prof = ReuseProfiler::new(32);
+        let mut spec = ReuseSpectrum::new();
         for op in Interp::new(&program) {
             if let Some(a) = op.kind.addr() {
-                prof.record(a);
+                spec.record(prof.record(a));
             }
         }
-        // Bucketed curve brackets the true FA ratio between 32K and 64K.
-        let fa_upper = prof.histogram().miss_ratio(32 * 1024 / 32);
-        let fa_lower = prof.histogram().miss_ratio(64 * 1024 / 32);
+        // The exact FA ratios at the L1's 32K and at twice that.
+        let fa_upper = spec.fa_miss_ratio(32 * 1024 / 32);
+        let fa_lower = spec.fa_miss_ratio(64 * 1024 / 32);
 
         let exp = Experiment::new(MachineConfig::base(), AssistKind::None);
         let measured = exp.run_program(&program, Version::Base).mem.l1d.miss_rate();
