@@ -72,7 +72,8 @@ use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Process-wide shutdown latch; see [`request_shutdown`].
@@ -137,6 +138,14 @@ struct ServerState {
     in_flight: AtomicU64,
 }
 
+impl ServerState {
+    /// The lifetime totals, also after a handler panicked while holding
+    /// them: they are plain counters, valid after every single update.
+    fn totals(&self) -> MutexGuard<'_, Totals> {
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A bound `selcached` listener; [`Server::run`] serves until shutdown.
 pub struct Server {
     listener: UnixListener,
@@ -172,16 +181,16 @@ impl Server {
     /// signal handler or a `shutdown` request). In-flight connections are
     /// drained before this returns; the socket file is removed.
     pub fn run(&self) -> io::Result<()> {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !shutdown_requested() {
             match self.listener.accept() {
                 Ok((stream, _addr)) => {
                     let state = Arc::clone(&self.state);
-                    if let Ok(mut totals) = state.totals.lock() {
-                        totals.connections += 1;
-                    }
+                    state.totals().connections += 1;
                     handlers.push(std::thread::spawn(move || handle_conn(stream, &state)));
-                    handlers.retain(|h| !h.is_finished());
+                    for done in handlers.extract_if(.., |h| h.is_finished()) {
+                        join_handler(done);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL);
@@ -190,10 +199,24 @@ impl Server {
             }
         }
         for h in handlers {
-            let _ = h.join();
+            join_handler(h);
         }
         let _ = std::fs::remove_file(&self.path);
         Ok(())
+    }
+}
+
+/// Joins a connection handler, printing its panic message, if it panicked,
+/// to stderr: one client's failure must not pass silently, nor stop the
+/// server.
+fn join_handler(handle: JoinHandle<()>) {
+    if let Err(payload) = handle.join() {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        eprintln!("selcached: connection handler panicked: {msg}");
     }
 }
 
@@ -261,7 +284,7 @@ fn serve_line(raw: &[u8], state: &ServerState, out: &mut UnixStream) -> io::Resu
             Ok(false)
         }
         "stats" => {
-            let totals = *state.totals.lock().expect("totals lock");
+            let totals = *state.totals();
             write_line(out, &stats_json(state, &totals))?;
             Ok(false)
         }
@@ -364,7 +387,7 @@ fn serve_run(req: &Json, state: &ServerState, out: &mut UnixStream) -> io::Resul
         state.engine.run_with_stats(&jobs)
     };
     state.in_flight.fetch_sub(jobs.len() as u64, Ordering::AcqRel);
-    state.totals.lock().expect("totals lock").absorb(&stats);
+    state.totals().absorb(&stats);
     for (i, r) in results.iter().enumerate() {
         write_line(out, &result_json(i, &jobs[i], r))?;
     }
@@ -620,6 +643,32 @@ mod tests {
         let bad =
             Json::parse(r#"{"benchmark":"li","version":"selective","policy":"oracle"}"#).unwrap();
         assert!(job_from_json(&bad).unwrap_err().contains("policy"));
+    }
+
+    #[test]
+    fn stats_survive_a_poisoned_totals_lock() {
+        let state = Arc::new(ServerState {
+            engine: JobEngine::new(1),
+            totals: Mutex::new(Totals { connections: 3, ..Totals::default() }),
+            in_flight: AtomicU64::new(0),
+        });
+        let holder = Arc::clone(&state);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.totals.lock().expect("first lock");
+            panic!("handler fails while holding the totals");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(state.totals.is_poisoned());
+
+        let (mut server_end, mut client_end) = UnixStream::pair().expect("socket pair");
+        assert!(!serve_line(br#"{"op":"stats"}"#, &state, &mut server_end).expect("answered"));
+        drop(server_end);
+        let mut reply = String::new();
+        client_end.read_to_string(&mut reply).expect("reply");
+        let reply = Json::parse(reply.trim()).expect("one JSON line");
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(reply.get("connections"), Some(&Json::UInt(3)));
     }
 
     #[test]

@@ -195,8 +195,8 @@ impl RegionProfileProbe {
 }
 
 impl Probe for RegionProfileProbe {
-    fn cycle(&mut self, region: RegionId) {
-        self.bucket(region).cycles += 1;
+    fn cycles(&mut self, region: RegionId, n: u64) {
+        self.bucket(region).cycles += n;
     }
 
     fn commit(&mut self, site: Site, kind: selcache_ir::OpKind) {
@@ -279,7 +279,7 @@ mod tests {
         let mut p = RegionProfileProbe::new(&map);
         let alpha = Site::new(0, RegionId(0));
         let beta = Site::new(0, RegionId(1));
-        p.cycle(RegionId(0));
+        p.cycles(RegionId(0), 1);
         p.commit(alpha, OpKind::Load(Addr(0)));
         p.cache_access(CacheLevel::L1d, alpha, Addr(0), false, Lookup::Miss(MissClass::Compulsory));
         p.cache_access(CacheLevel::L2, beta, Addr(0), false, Lookup::Hit);

@@ -12,16 +12,23 @@
 //! markers toggle the hierarchy's assist flag at dispatch (in program order
 //! with respect to all later dispatches) and cost one pipeline slot each —
 //! the instruction overhead the paper accounts for.
+//!
+//! Cycles in which no stage can act are not stepped: after each cycle the
+//! clock jumps to the earliest cycle at which commit, issue or fetch can act,
+//! and the span in between reaches the probe as counts. Issue considers only
+//! ops whose operand is complete: each dispatched op is ready, or waits on
+//! its producer's list until the producer's completion cycle.
 
 use crate::config::{CpuConfig, CpuModel};
 use crate::predictor::Bimodal;
 use crate::stats::{CpuStats, CpuStatsProbe};
 use selcache_ir::{OpKind, RegionId, TraceOp};
 use selcache_mem::{MemoryHierarchy, NullProbe, Probe, Site};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Completion-time ring size; dependence distances are clamped below this.
-const RING: usize = 1024;
+/// End of a waiter list.
+const NO_OP: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -32,17 +39,17 @@ struct Slot {
     issued: bool,
     ready_at: u64,
     is_mem: bool,
+    /// First op waiting on this op's result ([`NO_OP`] when none); the list
+    /// continues through the waiters' `next_waiter` links.
+    waiters: u64,
+    /// Next op waiting on the same producer as this one.
+    next_waiter: u64,
 }
 
-/// Ready-queue record for one unissued op: everything the issue scan needs
-/// to decide "can this issue now?" without touching its RUU slot. Three
-/// entries fit in a cache line, so fruitless scans over a mostly-blocked
-/// window stay cheap.
+/// Ready-list record: an unissued op whose operand is complete.
 #[derive(Debug, Clone, Copy)]
-struct IssueEntry {
+struct ReadyEntry {
     seq: u64,
-    /// Sequence number of the producing op, `u64::MAX` when independent.
-    dep_seq: u64,
     class: UnitClass,
 }
 
@@ -91,25 +98,21 @@ pub struct Pipeline {
     stats: CpuStatsProbe,
     ruu: VecDeque<Slot>,
     lsq_used: u32,
-    /// The ready queue: exactly the unissued ops, in sequence order. The
-    /// issue scan walks this compact array instead of the RUU, so issued
-    /// slots cost nothing and blocked candidates are rejected from a
-    /// 24-byte record instead of a full [`Slot`].
-    unissued_q: Vec<IssueEntry>,
-    /// Unissued RUU occupancy per functional-unit class; lets the issue scan
-    /// stop as soon as every class is saturated or drained.
-    unissued: [u32; 3],
+    /// The unissued ops whose operand is complete, in sequence order: the
+    /// issue stage's only candidates, in the order a front-to-back RUU scan
+    /// would meet them.
+    ready: Vec<ReadyEntry>,
+    /// Issued producers with waiters, keyed by completion cycle: at that
+    /// cycle their waiters join [`Pipeline::ready`].
+    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The op after the last one issued. Under the in-order model this is
+    /// the oldest unissued op: in-order issue keeps the unissued ops a
+    /// contiguous run ending at the youngest.
+    next_in_order: u64,
     /// `log2(fetch_block)` when the fetch-block size is a power of two
     /// (`u32::MAX` otherwise): fetch-block numbering shifts instead of
     /// dividing on every dispatched op.
     fetch_shift: u32,
-    /// Earliest cycle the issue scan could find work after a fruitless scan:
-    /// the minimum completion time of the dependencies that blocked it,
-    /// lowered by fetch when it dispatches an op that could be ready sooner.
-    /// Until then the scan is skipped — nothing in the window can become
-    /// ready earlier, so the skipped scans would provably issue nothing.
-    issue_retry_at: u64,
-    completion: Vec<u64>,
     cycle: u64,
     seq: u64,
     fetch_resume: u64,
@@ -124,21 +127,29 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Creates a pipeline with fresh predictor state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the integer or floating-point latency is zero: a consumer
+    /// becomes ready no earlier than the cycle after its producer issues.
     pub fn new(cfg: CpuConfig) -> Self {
+        assert!(
+            cfg.int_latency > 0 && cfg.fp_latency > 0,
+            "pipeline latencies must be at least one cycle"
+        );
         Pipeline {
             predictor: Bimodal::new(cfg.predictor_entries),
             stats: CpuStatsProbe::default(),
             ruu: VecDeque::with_capacity(cfg.ruu_entries as usize),
             lsq_used: 0,
-            unissued_q: Vec::with_capacity(cfg.ruu_entries as usize),
-            unissued: [0; 3],
+            ready: Vec::with_capacity(cfg.ruu_entries as usize),
+            wakeups: BinaryHeap::with_capacity(cfg.ruu_entries as usize),
+            next_in_order: 0,
             fetch_shift: if cfg.fetch_block.is_power_of_two() {
                 cfg.fetch_block.trailing_zeros()
             } else {
                 u32::MAX
             },
-            issue_retry_at: 0,
-            completion: vec![u64::MAX; RING],
             cycle: 0,
             seq: 0,
             fetch_resume: 0,
@@ -165,6 +176,10 @@ impl Pipeline {
     /// accumulated statistics. The pipeline can be reused for another trace;
     /// predictor and statistics carry over (create a new [`Pipeline`] for an
     /// independent run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` has a zero L1 latency (see [`Pipeline::new`]).
     pub fn run(
         &mut self,
         trace: impl IntoIterator<Item = TraceOp>,
@@ -176,15 +191,22 @@ impl Pipeline {
     /// [`Pipeline::run`] with event instrumentation: `probe` observes every
     /// cycle, commit, stall, misprediction, assist toggle and memory-system
     /// event, each attributed to the PC and region of the instruction that
-    /// caused it. The built-in [`CpuStats`] accounting runs alongside
-    /// unconditionally; with [`NullProbe`] this monomorphizes to the plain
-    /// [`Pipeline::run`] path.
+    /// caused it. Idle spans arrive as counts ([`Probe::cycles`],
+    /// [`Probe::issue_stalls`], [`Probe::fetch_stalls`]), so the totals
+    /// equal one event per cycle. The built-in [`CpuStats`] accounting runs
+    /// alongside unconditionally; with [`NullProbe`] this monomorphizes to
+    /// the plain [`Pipeline::run`] path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` has a zero L1 latency (see [`Pipeline::new`]).
     pub fn run_probed<P: Probe>(
         &mut self,
         trace: impl IntoIterator<Item = TraceOp>,
         mem: &mut MemoryHierarchy,
         probe: &mut P,
     ) -> CpuStats {
+        assert!(mem.config().l1_latency > 0, "the L1 latency must be at least one cycle");
         let mut trace = trace.into_iter();
         self.done_fetching = false;
         // Move the default probe out of `self` so both it and the caller's
@@ -195,11 +217,13 @@ impl Pipeline {
             if let Some(front) = self.ruu.front() {
                 self.cur_region = front.region;
             }
-            fan.cycle(self.cur_region);
+            fan.cycles(self.cur_region, 1);
+            self.wake();
             self.commit(&mut fan);
             self.issue(mem, &mut fan);
             self.fetch(&mut trace, mem, &mut fan);
             self.cycle += 1;
+            self.skip_idle(&mut fan);
         }
         default_probe.stats.cycles = self.cycle;
         self.stats = default_probe;
@@ -209,6 +233,84 @@ impl Pipeline {
     /// Statistics so far.
     pub fn stats(&self) -> &CpuStats {
         &self.stats.stats
+    }
+
+    /// Moves the waiters of every producer completing by this cycle into
+    /// the ready list. Runs before commit, so each producer is still in
+    /// the RUU.
+    fn wake(&mut self) {
+        while let Some(&Reverse((at, producer))) = self.wakeups.peek() {
+            if at > self.cycle {
+                break;
+            }
+            self.wakeups.pop();
+            let front_seq = self.ruu[0].seq;
+            let mut w =
+                std::mem::replace(&mut self.ruu[(producer - front_seq) as usize].waiters, NO_OP);
+            while w != NO_OP {
+                let slot = &self.ruu[(w - front_seq) as usize];
+                let entry = ReadyEntry { seq: w, class: UnitClass::of(slot.kind) };
+                w = slot.next_waiter;
+                let pos = self.ready.partition_point(|e| e.seq < entry.seq);
+                self.ready.insert(pos, entry);
+            }
+        }
+    }
+
+    /// Jumps the clock to the next cycle at which commit, issue or fetch
+    /// can act, and reports the cycles passed over: each belongs to the
+    /// current region, is an issue stall while the RUU holds ops, and is a
+    /// fetch stall while fetch is blocked — what stepping them one at a
+    /// time would report.
+    fn skip_idle<P: Probe>(&mut self, probe: &mut P) {
+        let fetching = !(self.done_fetching && self.staged.is_none());
+        if !fetching && self.ruu.is_empty() {
+            return;
+        }
+        let now = self.cycle;
+        // Commit: the head's completion.
+        let mut next = match self.ruu.front() {
+            Some(head) if head.issued => head.ready_at,
+            _ => u64::MAX,
+        };
+        // Issue: a ready op now (in order, only the oldest unissued one),
+        // otherwise the next wakeup.
+        let in_order = self.cfg.model == CpuModel::InOrder;
+        if self.ready.first().is_some_and(|e| !in_order || e.seq == self.next_in_order) {
+            next = now;
+        }
+        if let Some(&Reverse((at, _))) = self.wakeups.peek() {
+            next = next.min(at);
+        }
+        // Fetch: once the resume cycle comes, unless a mispredicted branch
+        // blocks it or the RUU or LSQ has no room (only commit frees them).
+        let room = self.ruu.len() < self.cfg.ruu_entries as usize
+            && !(self.staged.is_some() && self.lsq_used == self.cfg.lsq_entries);
+        if fetching && self.blocked_on.is_none() && room {
+            next = next.min(self.fetch_resume);
+        }
+        if next <= now || next == u64::MAX {
+            return;
+        }
+        let span = next - now;
+        if let Some(front) = self.ruu.front() {
+            self.cur_region = front.region;
+        }
+        probe.cycles(self.cur_region, span);
+        if !self.ruu.is_empty() {
+            probe.issue_stalls(span);
+        }
+        if fetching {
+            let stalled = if self.blocked_on.is_some() {
+                span
+            } else {
+                self.fetch_resume.saturating_sub(now).min(span)
+            };
+            if stalled > 0 {
+                probe.fetch_stalls(stalled);
+            }
+        }
+        self.cycle = next;
     }
 
     fn commit<P: Probe>(&mut self, probe: &mut P) {
@@ -233,58 +335,25 @@ impl Pipeline {
         let Some(front_seq) = self.ruu.front().map(|s| s.seq) else {
             return;
         };
-        // After a fruitless scan, nothing in the window can become ready
-        // before the blocking dependencies complete (fetch lowers the bound
-        // when it dispatches an op that could be ready sooner); skip the
-        // provably empty rescans until then.
-        if self.cycle < self.issue_retry_at {
-            probe.issue_stall();
-            return;
-        }
         let in_order = self.cfg.model == CpuModel::InOrder;
         let mut issued = 0;
-        let mut next_ready = u64::MAX;
         let mut unit_used = [0u32; 3];
         let unit_limit = [self.cfg.mem_ports, self.cfg.int_units, self.cfg.fp_units];
         let cycle = self.cycle;
         let mut resolved_block: Option<u64> = None;
-        // Stop once every unit class is saturated or has no unissued
-        // candidate left anywhere in the window. The predicate only changes
-        // when an op issues, so it is re-evaluated there, not per slot.
-        let exhausted = |used: &[u32; 3], unissued: &[u32; 3]| {
-            (0..3).all(|c| used[c] >= unit_limit[c] || unissued[c] == 0)
-        };
-        let mut stop = exhausted(&unit_used, &self.unissued);
-        // Walk the ready queue in sequence order — the same candidates, in
-        // the same order, as a front-to-back RUU scan over unissued slots.
-        // Entries whose op issues are dropped by compacting in place; a
-        // break leaves the tail untouched for the next scan.
-        let mut q = std::mem::take(&mut self.unissued_q);
+        // Walk the ready list in sequence order. Entries whose op issues are
+        // dropped by compacting in place; a break leaves the tail untouched.
+        let mut q = std::mem::take(&mut self.ready);
         let mut read = 0;
         let mut write = 0;
-        while read < q.len() {
-            if issued == self.cfg.issue_width || stop {
-                break;
-            }
+        while read < q.len() && issued < self.cfg.issue_width {
             let entry = q[read];
-            let deps_ready = entry.dep_seq == u64::MAX || {
-                let done = self.completion[(entry.dep_seq % RING as u64) as usize];
-                if done > cycle {
-                    next_ready = next_ready.min(done);
-                }
-                done <= cycle
-            };
-            if !deps_ready {
-                if in_order {
-                    break;
-                }
-                q[write] = entry;
-                write += 1;
-                read += 1;
-                continue;
-            }
             let class = entry.class as usize;
-            if unit_used[class] >= unit_limit[class] {
+            // In order, an older op still waiting on its operand blocks
+            // everything behind it.
+            if unit_used[class] >= unit_limit[class]
+                || (in_order && entry.seq != self.next_in_order)
+            {
                 if in_order {
                     break;
                 }
@@ -308,11 +377,12 @@ impl Pipeline {
             let slot = &mut self.ruu[idx];
             slot.issued = true;
             slot.ready_at = cycle + latency;
-            self.completion[(entry.seq % RING as u64) as usize] = cycle + latency;
+            if slot.waiters != NO_OP {
+                self.wakeups.push(Reverse((cycle + latency, entry.seq)));
+            }
             unit_used[class] += 1;
-            self.unissued[class] -= 1;
-            stop = exhausted(&unit_used, &self.unissued);
             issued += 1;
+            self.next_in_order = entry.seq + 1;
             if self.blocked_on == Some(entry.seq) {
                 resolved_block = Some(cycle + latency + self.cfg.mispredict_penalty);
             }
@@ -322,19 +392,13 @@ impl Pipeline {
             q.copy_within(read.., write);
             q.truncate(q.len() - (read - write));
         }
-        self.unissued_q = q;
+        self.ready = q;
         if let Some(resume) = resolved_block {
             self.blocked_on = None;
             self.fetch_resume = self.fetch_resume.max(resume);
         }
         if issued == 0 {
-            probe.issue_stall();
-            // Valid until fetch adds ops: every unissued slot waits (possibly
-            // transitively) on a dependency whose completion time was seen by
-            // this scan, so `next_ready` lower-bounds the next issue.
-            self.issue_retry_at = if next_ready == u64::MAX { cycle + 1 } else { next_ready };
-        } else {
-            self.issue_retry_at = 0;
+            probe.issue_stalls(1);
         }
     }
 
@@ -348,7 +412,7 @@ impl Pipeline {
             return;
         }
         if self.blocked_on.is_some() || self.cycle < self.fetch_resume {
-            probe.fetch_stall();
+            probe.fetch_stalls(1);
             return;
         }
         let mut fetched = 0;
@@ -400,36 +464,30 @@ impl Pipeline {
                 }
                 _ => {}
             }
-            let dep_seq = if op.dep == 0 || (op.dep as u64) > self.seq || op.dep as usize >= RING {
-                None
-            } else {
-                Some(self.seq - op.dep as u64)
-            };
-            self.completion[(self.seq % RING as u64) as usize] = u64::MAX;
-            let class = UnitClass::of(op.kind);
-            self.unissued[class as usize] += 1;
-            self.unissued_q.push(IssueEntry {
-                seq: self.seq,
-                dep_seq: dep_seq.unwrap_or(u64::MAX),
-                class,
-            });
-            // A dispatched op may be issueable before the current retry
-            // bound: immediately if its dependency is absent or complete, at
-            // the dependency's completion when that is already known. A dep
-            // still waiting to issue cannot complete before the bound (it is
-            // itself covered by it), so it leaves the bound unchanged.
-            let ready_bound = match dep_seq {
-                None => self.cycle + 1,
-                Some(d) => {
-                    let done = self.completion[(d % RING as u64) as usize];
-                    if done == u64::MAX {
-                        u64::MAX
-                    } else {
-                        done.max(self.cycle + 1)
+            // The op is ready unless its producer is still in the RUU and
+            // completes after the next issue scan; then it joins the
+            // producer's waiters (and the producer, once issued, the
+            // wakeups). A producer before the trace start or already
+            // committed counts as complete.
+            let dep = u64::from(op.dep);
+            let front_seq = self.ruu.front().map_or(self.seq, |s| s.seq);
+            let mut next_waiter = NO_OP;
+            let mut waiting = false;
+            if dep != 0 && dep <= self.seq && self.seq - dep >= front_seq {
+                let producer_seq = self.seq - dep;
+                let producer = &mut self.ruu[(producer_seq - front_seq) as usize];
+                if !producer.issued || producer.ready_at > self.cycle + 1 {
+                    if producer.issued && producer.waiters == NO_OP {
+                        self.wakeups.push(Reverse((producer.ready_at, producer_seq)));
                     }
+                    next_waiter = producer.waiters;
+                    producer.waiters = self.seq;
+                    waiting = true;
                 }
-            };
-            self.issue_retry_at = self.issue_retry_at.min(ready_bound);
+            }
+            if !waiting {
+                self.ready.push(ReadyEntry { seq: self.seq, class: UnitClass::of(op.kind) });
+            }
             self.ruu.push_back(Slot {
                 seq: self.seq,
                 pc: op.pc,
@@ -438,6 +496,8 @@ impl Pipeline {
                 issued: false,
                 ready_at: 0,
                 is_mem,
+                waiters: NO_OP,
+                next_waiter,
             });
             if is_mem {
                 self.lsq_used += 1;
@@ -624,6 +684,46 @@ mod tests {
         cfg.model = CpuModel::InOrder;
         let ino = Pipeline::new(cfg).run(mk(), &mut m2);
         assert!(ino.cycles > ooo.cycles, "in-order {} ooo {}", ino.cycles, ooo.cycles);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_op_latency_is_rejected() {
+        let mut cfg = CpuConfig::paper_base();
+        cfg.int_latency = 0;
+        Pipeline::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_l1_latency_is_rejected() {
+        let mut cfg = HierarchyConfig::paper_base(AssistKind::None);
+        cfg.l1_latency = 0;
+        let mut m = MemoryHierarchy::new(cfg);
+        Pipeline::new(CpuConfig::paper_base()).run(vec![alu(0x40_0000)], &mut m);
+    }
+
+    #[test]
+    fn far_dependence_on_a_committed_op_is_no_dependence() {
+        // A serial chain, except that op 1023 reads op 0, long committed:
+        // it must time exactly as if it had no dependence, however close
+        // behind it op 1024 (1024 ops after its producer) dispatches.
+        let trace = |far: u16| {
+            (0..1100u64)
+                .map(|i| {
+                    let dep = if i == 1023 { far } else { u16::from(i > 0) };
+                    TraceOp::with_dep(0x40_0000 + (i % 8) * 4, OpKind::IntAlu, dep)
+                })
+                .collect::<Vec<_>>()
+        };
+        for model in [CpuModel::OutOfOrder, CpuModel::InOrder] {
+            let mut cfg = CpuConfig::paper_base();
+            cfg.model = model;
+            let far = Pipeline::new(cfg).run(trace(1023), &mut mem());
+            let none = Pipeline::new(cfg).run(trace(0), &mut mem());
+            assert_eq!(far, none, "{model:?}");
+            assert_eq!(far.committed, 1100);
+        }
     }
 
     #[test]

@@ -87,12 +87,12 @@ impl Probe for CpuStatsProbe {
         self.stats.mispredicts += 1;
     }
 
-    fn fetch_stall(&mut self) {
-        self.stats.fetch_stall_cycles += 1;
+    fn fetch_stalls(&mut self, n: u64) {
+        self.stats.fetch_stall_cycles += n;
     }
 
-    fn issue_stall(&mut self) {
-        self.stats.issue_stall_cycles += 1;
+    fn issue_stalls(&mut self, n: u64) {
+        self.stats.issue_stall_cycles += n;
     }
 }
 
@@ -151,10 +151,11 @@ mod tests {
         p.commit(Site::UNKNOWN, OpKind::Load(Addr(0)));
         p.commit(Site::UNKNOWN, OpKind::AssistOn);
         p.mispredict(Site::UNKNOWN);
-        p.fetch_stall();
-        p.issue_stall();
+        p.fetch_stalls(1);
+        p.issue_stalls(1);
+        p.issue_stalls(40);
         let s = p.stats();
         assert_eq!((s.committed, s.int_ops, s.loads, s.assist_toggles), (3, 1, 1, 1));
-        assert_eq!((s.mispredicts, s.fetch_stall_cycles, s.issue_stall_cycles), (1, 1, 1));
+        assert_eq!((s.mispredicts, s.fetch_stall_cycles, s.issue_stall_cycles), (1, 1, 41));
     }
 }

@@ -82,10 +82,11 @@ pub enum AssistEvent {
 /// the events it cares about, and unimplemented events cost nothing.
 #[allow(unused_variables)]
 pub trait Probe {
-    /// One simulated cycle elapsed, attributed to the region of the oldest
-    /// in-flight instruction (the commit bottleneck).
+    /// `n` simulated cycles elapsed, attributed to the region of the oldest
+    /// in-flight instruction (the commit bottleneck). The pipeline reports
+    /// a busy cycle as `n = 1` and a span of idle cycles as one call.
     #[inline]
-    fn cycle(&mut self, region: RegionId) {}
+    fn cycles(&mut self, region: RegionId, n: u64) {}
 
     /// An instruction committed.
     #[inline]
@@ -134,14 +135,14 @@ pub trait Probe {
     #[inline]
     fn mispredict(&mut self, site: Site) {}
 
-    /// A cycle in which fetch was blocked (misprediction redirect or icache
-    /// stall).
+    /// `n` cycles in which fetch was blocked (misprediction redirect or
+    /// icache stall).
     #[inline]
-    fn fetch_stall(&mut self) {}
+    fn fetch_stalls(&mut self, n: u64) {}
 
-    /// A cycle in which instructions were in flight but none could issue.
+    /// `n` cycles in which instructions were in flight but none could issue.
     #[inline]
-    fn issue_stall(&mut self) {}
+    fn issue_stalls(&mut self, n: u64) {}
 }
 
 /// The zero-cost probe: every event is a no-op, monomorphizing the
@@ -153,8 +154,8 @@ impl Probe for NullProbe {}
 
 impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
-    fn cycle(&mut self, region: RegionId) {
-        (**self).cycle(region);
+    fn cycles(&mut self, region: RegionId, n: u64) {
+        (**self).cycles(region, n);
     }
     #[inline]
     fn commit(&mut self, site: Site, kind: OpKind) {
@@ -200,12 +201,12 @@ impl<P: Probe + ?Sized> Probe for &mut P {
         (**self).mispredict(site);
     }
     #[inline]
-    fn fetch_stall(&mut self) {
-        (**self).fetch_stall();
+    fn fetch_stalls(&mut self, n: u64) {
+        (**self).fetch_stalls(n);
     }
     #[inline]
-    fn issue_stall(&mut self) {
-        (**self).issue_stall();
+    fn issue_stalls(&mut self, n: u64) {
+        (**self).issue_stalls(n);
     }
 }
 
@@ -213,9 +214,9 @@ impl<P: Probe + ?Sized> Probe for &mut P {
 /// probe stack with a caller-supplied observer.
 impl<A: Probe, B: Probe> Probe for (A, B) {
     #[inline]
-    fn cycle(&mut self, region: RegionId) {
-        self.0.cycle(region);
-        self.1.cycle(region);
+    fn cycles(&mut self, region: RegionId, n: u64) {
+        self.0.cycles(region, n);
+        self.1.cycles(region, n);
     }
     #[inline]
     fn commit(&mut self, site: Site, kind: OpKind) {
@@ -270,14 +271,14 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.1.mispredict(site);
     }
     #[inline]
-    fn fetch_stall(&mut self) {
-        self.0.fetch_stall();
-        self.1.fetch_stall();
+    fn fetch_stalls(&mut self, n: u64) {
+        self.0.fetch_stalls(n);
+        self.1.fetch_stalls(n);
     }
     #[inline]
-    fn issue_stall(&mut self) {
-        self.0.issue_stall();
-        self.1.issue_stall();
+    fn issue_stalls(&mut self, n: u64) {
+        self.0.issue_stalls(n);
+        self.1.issue_stalls(n);
     }
 }
 
@@ -372,8 +373,8 @@ mod tests {
     }
 
     impl Probe for Counter {
-        fn cycle(&mut self, _region: RegionId) {
-            self.cycles += 1;
+        fn cycles(&mut self, _region: RegionId, n: u64) {
+            self.cycles += n;
         }
         fn cache_access(&mut self, _l: CacheLevel, _s: Site, _a: Addr, _w: bool, _lk: Lookup) {
             self.accesses += 1;
@@ -383,16 +384,16 @@ mod tests {
     #[test]
     fn pair_probe_fans_out() {
         let mut pair = (Counter::default(), Counter::default());
-        pair.cycle(RegionId(0));
+        pair.cycles(RegionId(0), 3);
         pair.cache_access(CacheLevel::L1d, Site::UNKNOWN, Addr(0), false, Lookup::Hit);
-        assert_eq!((pair.0.cycles, pair.1.cycles), (1, 1));
+        assert_eq!((pair.0.cycles, pair.1.cycles), (3, 3));
         assert_eq!((pair.0.accesses, pair.1.accesses), (1, 1));
     }
 
     #[test]
     fn mut_ref_forwards() {
         fn tick<P: Probe>(mut p: P) {
-            p.cycle(RegionId::NONE);
+            p.cycles(RegionId::NONE, 1);
         }
         let mut c = Counter::default();
         tick(&mut c);

@@ -35,7 +35,6 @@ pub struct Tlb {
     cfg: TlbConfig,
     /// `log2(page_size)`; pages are powers of two, so page numbers shift.
     page_shift: u32,
-    misses: u64,
 }
 
 impl Tlb {
@@ -51,12 +50,7 @@ impl Tlb {
             assoc: cfg.assoc,
             block_size: cfg.page_size,
         };
-        Tlb {
-            cache: Cache::new(cache_cfg),
-            page_shift: cfg.page_size.trailing_zeros(),
-            cfg,
-            misses: 0,
-        }
+        Tlb { cache: Cache::new(cache_cfg), page_shift: cfg.page_size.trailing_zeros(), cfg }
     }
 
     /// Translates `addr`, returning the extra latency (0 on a hit, the miss
@@ -66,15 +60,14 @@ impl Tlb {
         if self.cache.access(page, false).is_hit() {
             0
         } else {
-            self.misses += 1;
             self.cache.fill(page, false);
             self.cfg.miss_penalty
         }
     }
 
-    /// Total misses so far.
+    /// Total misses so far (the page cache's own miss count).
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.cache.stats().misses
     }
 }
 

@@ -5,7 +5,8 @@
 //!
 //! The snapshot covers all 13 benchmarks at `Scale::Tiny` under `Base` and
 //! `Selective` (bypass assist) and records cycles, committed instructions,
-//! L1/L2 hits and misses, the three-C classification, and assist toggles.
+//! L1/L2 hits and misses, the three-C classification, assist toggles, and
+//! the pipeline's issue-stall and fetch-stall cycles and mispredictions.
 //!
 //! Regenerate with `GOLDEN_REGEN=1 cargo test --test golden_snapshot` —
 //! only when a *semantic* change is intended, never for a perf change.
@@ -22,7 +23,7 @@ fn snapshot_line(bm: Benchmark, version: Version, r: &SimResult) -> String {
         "{} {} cycles={} committed={} \
          l1d_hits={} l1d_misses={} l1d_comp={} l1d_cap={} l1d_conf={} \
          l2_hits={} l2_misses={} l2_comp={} l2_cap={} l2_conf={} \
-         toggles={}",
+         toggles={} issue_stall={} fetch_stall={} mispredicts={}",
         bm.name(),
         version.to_string().replace(' ', ""),
         r.cycles,
@@ -38,6 +39,9 @@ fn snapshot_line(bm: Benchmark, version: Version, r: &SimResult) -> String {
         r.mem.l2.capacity,
         r.mem.l2.conflict,
         r.cpu.assist_toggles,
+        r.cpu.issue_stall_cycles,
+        r.cpu.fetch_stall_cycles,
+        r.cpu.mispredicts,
     )
 }
 
