@@ -11,7 +11,10 @@
 //! [-- --scale tiny|small|medium] [--threads N]`
 
 use selcache_bench::Cli;
-use selcache_compiler::{detect_and_mark_with, eliminate_redundant_markers, optimize, OptConfig};
+use selcache_compiler::{
+    detect_and_mark, detect_and_mark_with, eliminate_redundant_markers, optimize, AssistPolicy,
+    OptConfig,
+};
 use selcache_core::{
     AssistKind, Benchmark, Experiment, JobEngine, MachineConfig, Scale, SimJob, SimResult, Version,
 };
@@ -156,7 +159,7 @@ fn marker_elimination_ablation(scale: Scale) {
     let opt = OptConfig::default();
     for bm in [Benchmark::Chaos, Benchmark::TpcC, Benchmark::TpcDQ1] {
         let p = optimize(&bm.build(scale), &opt);
-        let naive = detect_and_mark_with(&p, opt.threshold, 256.0);
+        let naive = detect_and_mark(&p, opt.threshold);
         let eliminated = eliminate_redundant_markers(&naive);
         let toggles = |p: &selcache_ir::Program| {
             Interp::new(p)
@@ -183,6 +186,7 @@ fn region_granularity_ablation(scale: Scale) {
             &optimized,
             opt.threshold,
             min_volume,
+            AssistPolicy::IrregularRegions,
         ));
         let r = exp.run_program(&marked, Version::Selective);
         println!(

@@ -36,7 +36,7 @@ fn main() {
 #[cfg(unix)]
 mod unix {
     use selcache_bench::service::{self, Server};
-    use selcache_core::{JobEngine, Store};
+    use selcache_bench::Cli;
     use std::path::PathBuf;
 
     const USAGE: &str = "usage: selcached [--socket PATH] [--store DIR] [--threads N] \
@@ -99,22 +99,10 @@ mod unix {
             return;
         }
 
-        if store.is_none() {
-            if let Some(dir) = std::env::var_os("SELCACHE_STORE") {
-                if !dir.is_empty() {
-                    store = Some(PathBuf::from(dir));
-                }
-            }
-        }
-        let engine = match &store {
-            None => JobEngine::new(threads),
-            Some(root) => match Store::open(root) {
-                Ok(s) => JobEngine::with_store(threads, s),
-                Err(e) => {
-                    eprintln!("failed to open store {}: {e}", root.display());
-                    std::process::exit(1);
-                }
-            },
+        let engine = Cli { threads, store, ..Cli::default() }.engine();
+        let persistence = match engine.store() {
+            Some(s) => format!("store {}", s.root().display()),
+            None => "no store: results are not persisted".to_string(),
         };
 
         unsafe {
@@ -129,17 +117,7 @@ mod unix {
                 std::process::exit(1);
             }
         };
-        match &store {
-            Some(root) => eprintln!(
-                "selcached listening on {} (store {})",
-                server.path().display(),
-                root.display()
-            ),
-            None => eprintln!(
-                "selcached listening on {} (no store: results are not persisted)",
-                server.path().display()
-            ),
-        }
+        eprintln!("selcached listening on {} ({persistence})", server.path().display());
         if let Err(e) = server.run() {
             eprintln!("server error: {e}");
             std::process::exit(1);

@@ -297,17 +297,6 @@ pub fn engine_stats_json(stats: &selcache_core::EngineStats) -> Json {
     ])
 }
 
-/// Throughput in simulated ops per wall-clock second, guarded the same way
-/// as the core `RegionStats` rate helpers: an empty or zero-duration run
-/// reports 0 instead of NaN/infinity.
-pub fn ops_per_sec(ops: u64, wall_secs: f64) -> f64 {
-    if ops == 0 || wall_secs <= 0.0 {
-        0.0
-    } else {
-        ops as f64 / wall_secs
-    }
-}
-
 /// Runs and prints one figure (4–9) for the chosen variant, optionally
 /// writing the per-benchmark data as CSV.
 pub fn run_figure(variant: ConfigVariant) {
@@ -411,16 +400,6 @@ mod tests {
         assert!(msg.contains("tiny|small|medium|large"), "{msg}");
         let msg = CliError::InvalidMode("fuzzy".into()).to_string();
         assert!(msg.contains("exact|sampled"), "{msg}");
-    }
-
-    #[test]
-    fn ops_per_sec_guards_empty_runs() {
-        // An empty run (no ops, no elapsed time) must report 0, not NaN.
-        assert_eq!(ops_per_sec(0, 0.0), 0.0);
-        assert_eq!(ops_per_sec(100, 0.0), 0.0);
-        assert_eq!(ops_per_sec(0, 1.0), 0.0);
-        assert_eq!(ops_per_sec(500, 2.0), 250.0);
-        assert!(ops_per_sec(1, -1.0) == 0.0, "negative durations are clamped");
     }
 
     #[test]

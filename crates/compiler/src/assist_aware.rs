@@ -15,7 +15,7 @@
 use crate::classify::Preference;
 use crate::redundant::eliminate_redundant_markers;
 use crate::region::{detect_and_mark_with, MIN_REGION_VOLUME};
-use selcache_ir::{Item, Loop, Marker, Program};
+use selcache_ir::{Marker, Program};
 
 /// Which program regions an assist benefits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,29 +56,12 @@ impl AssistPolicy {
     }
 }
 
-fn flip_markers(items: &mut [Item], policy: AssistPolicy) {
-    for item in items.iter_mut() {
-        match item {
-            Item::Marker(m) => {
-                // The paper-rule marking encodes the preference: On =
-                // hardware region, Off = software region. Re-map it.
-                let pref =
-                    if *m == Marker::On { Preference::Hardware } else { Preference::Software };
-                *m = policy.marker_for(pref);
-            }
-            Item::Loop(Loop { body, .. }) => flip_markers(body, policy),
-            Item::Block(_) => {}
-        }
-    }
-}
-
 /// Region detection + marker insertion under an assist-specific policy,
 /// with redundant markers eliminated. With
 /// [`AssistPolicy::IrregularRegions`] this is exactly
 /// [`crate::insert_markers`].
 pub fn insert_markers_for(program: &Program, threshold: f64, policy: AssistPolicy) -> Program {
-    let mut marked = detect_and_mark_with(program, threshold, MIN_REGION_VOLUME);
-    flip_markers(&mut marked.items, policy);
+    let marked = detect_and_mark_with(program, threshold, MIN_REGION_VOLUME, policy);
     eliminate_redundant_markers(&marked)
 }
 

@@ -71,8 +71,8 @@ pub use passes::{
 };
 pub use redundant::eliminate_redundant_markers;
 pub use region::{
-    analyze_loop, detect_and_mark, detect_and_mark_with, region_partition, region_partition_with,
-    RegionClass, MIN_REGION_VOLUME,
+    analyze_loop, detect_and_mark, detect_and_mark_with, region_partition, RegionClass,
+    MIN_REGION_VOLUME,
 };
 pub use reuse::{innermost_cost, preferred_permutation, ref_stride};
 pub use scalar::scalar_replace;

@@ -9,11 +9,14 @@
 //! references as if in an imaginary single-iteration loop.
 //!
 //! The naive pass marks every region header with an activate (ON) or
-//! deactivate (OFF) instruction, exactly as in Figure 2(b); the redundancy
-//! elimination of [`crate::redundant`] then produces Figure 2(c).
+//! deactivate (OFF) instruction, exactly as in Figure 2(b), its polarity
+//! chosen from the region's preference by an [`AssistPolicy`]; the
+//! redundancy elimination of [`crate::redundant`] then produces
+//! Figure 2(c).
 
+use crate::assist_aware::AssistPolicy;
 use crate::classify::{items_counts, stmt_counts, Preference, RefCounts};
-use selcache_ir::{site_count, Item, Loop, Marker, Program, RegionMap, RegionMapBuilder};
+use selcache_ir::{site_count, Item, Loop, Program, RegionMap, RegionMapBuilder};
 
 /// Classification of a loop region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +53,6 @@ pub fn analyze_loop(l: &Loop, threshold: f64) -> RegionClass {
         RegionClass::Uniform(prefs[0])
     } else {
         RegionClass::Mixed
-    }
-}
-
-fn marker_for(p: Preference) -> Marker {
-    match p {
-        Preference::Hardware => Marker::On,
-        Preference::Software => Marker::Off,
     }
 }
 
@@ -102,66 +98,97 @@ fn weighted_counts(items: &[Item], mult: f64) -> (f64, f64) {
     (ana, tot)
 }
 
-fn mark_items(items: &[Item], threshold: f64, min_volume: f64, out: &mut Vec<Item>) {
-    for item in items {
-        match item {
-            Item::Loop(l) => match analyze_loop(l, threshold) {
-                RegionClass::Uniform(p) => {
-                    out.push(Item::Marker(marker_for(p)));
-                    out.push(Item::Loop(l.clone()));
-                }
-                RegionClass::Mixed => {
-                    // Fine-grained mixed loop: every child region is too
-                    // small to bracket individually. Classify the whole loop
-                    // by its volume-weighted reference mix.
-                    let fine_grained = l.body.iter().all(|it| match it {
-                        Item::Loop(inner) => {
-                            dyn_stmts(&inner.body, inner.trip.max().max(0) as f64) < min_volume
-                        }
-                        _ => true,
-                    });
-                    if fine_grained {
-                        let (ana, tot) = weighted_counts(&l.body, 1.0);
-                        let p = if tot == 0.0 || ana / tot > threshold {
-                            Preference::Software
-                        } else {
-                            Preference::Hardware
-                        };
-                        out.push(Item::Marker(marker_for(p)));
-                        out.push(Item::Loop(l.clone()));
-                    } else {
-                        // Recurse: children get their own markers.
-                        let mut body = Vec::new();
-                        mark_items(&l.body, threshold, min_volume, &mut body);
-                        out.push(Item::Loop(Loop { id: l.id, var: l.var, trip: l.trip, body }));
+/// What Section 2.2 makes of one item: the one decision that both the
+/// marking and the partition walk follow.
+enum ItemRegion<'a> {
+    /// A loop that is one region with one method: a nest whose loops all
+    /// agree, or (`mixed`) a mixed loop whose child regions are all too
+    /// small to bracket, classified by its volume-weighted reference mix.
+    Nest { l: &'a Loop, pref: Preference, mixed: bool },
+    /// A coarse mixed loop: its children are regions of their own, and
+    /// its header and latch are control overhead outside them.
+    Coarse(&'a Loop),
+    /// Statements sandwiched between nests: an imaginary loop that
+    /// iterates once, classified by its own references.
+    Stmts { count: usize, pref: Preference },
+    /// A marker already in the program.
+    Marker,
+}
+
+fn item_region(item: &Item, threshold: f64, min_volume: f64) -> ItemRegion<'_> {
+    match item {
+        Item::Loop(l) => match analyze_loop(l, threshold) {
+            RegionClass::Uniform(pref) => ItemRegion::Nest { l, pref, mixed: false },
+            RegionClass::Mixed => {
+                let fine_grained = l.body.iter().all(|it| match it {
+                    Item::Loop(inner) => {
+                        dyn_stmts(&inner.body, inner.trip.max().max(0) as f64) < min_volume
                     }
+                    _ => true,
+                });
+                if !fine_grained {
+                    return ItemRegion::Coarse(l);
                 }
-            },
-            Item::Block(stmts) => {
-                // Statements sandwiched between nests: an imaginary loop
-                // that iterates once, classified by its own references.
-                let c = stmts.iter().fold(RefCounts::default(), |acc, s| acc.merge(stmt_counts(s)));
-                out.push(Item::Marker(marker_for(c.preference(threshold))));
-                out.push(Item::Block(stmts.clone()));
+                let (ana, tot) = weighted_counts(&l.body, 1.0);
+                let pref = if tot == 0.0 || ana / tot > threshold {
+                    Preference::Software
+                } else {
+                    Preference::Hardware
+                };
+                ItemRegion::Nest { l, pref, mixed: true }
             }
-            Item::Marker(m) => out.push(Item::Marker(*m)),
+        },
+        Item::Block(stmts) => {
+            let c = stmts.iter().fold(RefCounts::default(), |acc, s| acc.merge(stmt_counts(s)));
+            ItemRegion::Stmts { count: stmts.len(), pref: c.preference(threshold) }
+        }
+        Item::Marker(_) => ItemRegion::Marker,
+    }
+}
+
+fn mark_items(
+    items: &[Item],
+    threshold: f64,
+    min_volume: f64,
+    policy: AssistPolicy,
+    out: &mut Vec<Item>,
+) {
+    for item in items {
+        match item_region(item, threshold, min_volume) {
+            ItemRegion::Nest { pref, .. } | ItemRegion::Stmts { pref, .. } => {
+                out.push(Item::Marker(policy.marker_for(pref)));
+                out.push(item.clone());
+            }
+            ItemRegion::Coarse(l) => {
+                // Children get their own markers.
+                let mut body = Vec::new();
+                mark_items(&l.body, threshold, min_volume, policy, &mut body);
+                out.push(Item::Loop(Loop { id: l.id, var: l.var, trip: l.trip, body }));
+            }
+            ItemRegion::Marker => out.push(item.clone()),
         }
     }
 }
 
 /// Runs region detection and inserts the naive (per-region-header) ON/OFF
-/// markers, returning a new program. Use
+/// markers of the paper's rule, returning a new program. Use
 /// [`crate::redundant::eliminate_redundant_markers`] afterwards, or call
 /// [`crate::insert_markers`] which does both.
 pub fn detect_and_mark(program: &Program, threshold: f64) -> Program {
-    detect_and_mark_with(program, threshold, MIN_REGION_VOLUME)
+    detect_and_mark_with(program, threshold, MIN_REGION_VOLUME, AssistPolicy::IrregularRegions)
 }
 
 /// [`detect_and_mark`] with an explicit fine-grained-region threshold
-/// (exposed for ablation studies; 0 disables coalescing).
-pub fn detect_and_mark_with(program: &Program, threshold: f64, min_volume: f64) -> Program {
+/// (exposed for ablation studies; 0 disables coalescing) and the policy
+/// that picks each region's marker from its preference.
+pub fn detect_and_mark_with(
+    program: &Program,
+    threshold: f64,
+    min_volume: f64,
+    policy: AssistPolicy,
+) -> Program {
     let mut items = Vec::new();
-    mark_items(&program.items, threshold, min_volume, &mut items);
+    mark_items(&program.items, threshold, min_volume, policy, &mut items);
     Program { items, ..program.clone() }
 }
 
@@ -172,46 +199,24 @@ fn pref_tag(p: Preference) -> &'static str {
     }
 }
 
-fn partition_items(items: &[Item], threshold: f64, min_volume: f64, b: &mut RegionMapBuilder) {
+fn partition_items(items: &[Item], threshold: f64, b: &mut RegionMapBuilder) {
     for item in items {
-        match item {
-            Item::Loop(l) => match analyze_loop(l, threshold) {
-                RegionClass::Uniform(p) => {
-                    b.open(format!("L{}:{}", l.id.0, pref_tag(p)));
-                    b.sites(site_count(std::slice::from_ref(item)));
-                }
-                RegionClass::Mixed => {
-                    let fine_grained = l.body.iter().all(|it| match it {
-                        Item::Loop(inner) => {
-                            dyn_stmts(&inner.body, inner.trip.max().max(0) as f64) < min_volume
-                        }
-                        _ => true,
-                    });
-                    if fine_grained {
-                        let (ana, tot) = weighted_counts(&l.body, 1.0);
-                        let p = if tot == 0.0 || ana / tot > threshold {
-                            Preference::Software
-                        } else {
-                            Preference::Hardware
-                        };
-                        b.open(format!("L{}:mix-{}", l.id.0, pref_tag(p)));
-                        b.sites(site_count(std::slice::from_ref(item)));
-                    } else {
-                        // Coarse mixed loop: the header/latch is control
-                        // overhead outside any child region; children open
-                        // their own regions.
-                        b.open(format!("L{}:ctl", l.id.0));
-                        b.site();
-                        partition_items(&l.body, threshold, min_volume, b);
-                    }
-                }
-            },
-            Item::Block(stmts) => {
-                let c = stmts.iter().fold(RefCounts::default(), |acc, s| acc.merge(stmt_counts(s)));
-                b.open(format!("stmts:{}", pref_tag(c.preference(threshold))));
-                b.sites(stmts.len());
+        match item_region(item, threshold, MIN_REGION_VOLUME) {
+            ItemRegion::Nest { l, pref, mixed } => {
+                let mix = if mixed { "mix-" } else { "" };
+                b.open(format!("L{}:{mix}{}", l.id.0, pref_tag(pref)));
+                b.sites(site_count(std::slice::from_ref(item)));
             }
-            Item::Marker(_) => b.pending_site(),
+            ItemRegion::Coarse(l) => {
+                b.open(format!("L{}:ctl", l.id.0));
+                b.site();
+                partition_items(&l.body, threshold, b);
+            }
+            ItemRegion::Stmts { count, pref } => {
+                b.open(format!("stmts:{}", pref_tag(pref)));
+                b.sites(count);
+            }
+            ItemRegion::Marker => b.pending_site(),
         }
     }
 }
@@ -228,20 +233,15 @@ fn partition_items(items: &[Item], threshold: f64, min_volume: f64, b: &mut Regi
 /// the program attach to the region that follows them (the paper places
 /// markers immediately before the region they control).
 pub fn region_partition(program: &Program, threshold: f64) -> RegionMap {
-    region_partition_with(program, threshold, MIN_REGION_VOLUME)
-}
-
-/// [`region_partition`] with an explicit fine-grained-region threshold.
-pub fn region_partition_with(program: &Program, threshold: f64, min_volume: f64) -> RegionMap {
     let mut b = RegionMapBuilder::new();
-    partition_items(&program.items, threshold, min_volume, &mut b);
+    partition_items(&program.items, threshold, &mut b);
     b.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selcache_ir::{AffineExpr, ProgramBuilder, Subscript};
+    use selcache_ir::{AffineExpr, Marker, ProgramBuilder, Subscript};
 
     /// A program shaped like Figure 2(a): one outer loop with three level-2
     /// nests — hardware, software, hardware.

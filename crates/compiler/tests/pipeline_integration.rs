@@ -2,7 +2,7 @@
 //! realistic program shapes.
 
 use selcache_compiler::{
-    analyze_loop, detect_and_mark_with, eliminate_redundant_markers, fuse_loops, insert_markers,
+    analyze_loop, detect_and_mark, eliminate_redundant_markers, fuse_loops, insert_markers,
     optimize, selective, OptConfig, Preference, RegionClass,
 };
 use selcache_ir::{
@@ -112,7 +112,7 @@ fn markers_bracket_exactly_the_hardware_work() {
 fn naive_vs_eliminated_markers_agree_dynamically() {
     let p = kitchen_sink();
     let o = optimize(&p, &OptConfig::default());
-    let naive = detect_and_mark_with(&o, 0.5, 256.0);
+    let naive = detect_and_mark(&o, 0.5);
     let clean = eliminate_redundant_markers(&naive);
     // The flag state before every memory access must be identical.
     let states = |prog: &Program| -> Vec<bool> {

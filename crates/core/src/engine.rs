@@ -110,9 +110,9 @@ impl SimJob {
     /// [`Version::Selective`] job then prepares its program with
     /// [`selcache_compiler::AssistPolicy::Dynamic`] (every region marked
     /// ON) and the hardware picks {off, bypass, victim} per region at run
-    /// time; the `assist` field still selects any additional static
-    /// stream assist. Part of the execution identity — dynamic and static
-    /// runs of the same job hash to distinct ids.
+    /// time; no stream buffers are built, whatever the `assist` field
+    /// says. Part of the execution identity — dynamic and static runs of
+    /// the same job hash to distinct ids.
     pub fn with_controller(mut self, ctl: ControllerConfig) -> SimJob {
         self.machine.mem.controller = Some(ctl);
         self

@@ -1,14 +1,13 @@
 //! A minimal JSON writer and reader for `--format json` output, the
-//! perf-baseline artifact, the persistent result store's envelopes, and
-//! the `selcached` wire protocol.
+//! persistent result store's envelopes, and the `selcached` wire protocol.
 //!
 //! The framework depends on nothing outside the workspace, so instead of a
 //! serde stack this is a tiny value tree with a renderer: enough to emit
 //! tables of numbers and strings, with correct string escaping and
 //! locale-independent number formatting. [`Json::parse`] is the inverse,
-//! used by the `perf` binary to read the checked-in baseline back, by
-//! [`Store`](crate::Store) to read result envelopes, and by the
-//! `selcached` server to decode requests.
+//! used by [`Store`](crate::Store) to read result envelopes, by the
+//! `selcached` server to decode requests, and by the benchmark to read its
+//! references and result lines.
 //!
 //! Integers round-trip losslessly through the full `u128` range
 //! ([`Json::UInt`] / [`Json::U128`]) — 128-bit job ids flow through this

@@ -132,11 +132,26 @@ impl Pipeline {
     ///
     /// Panics if the integer or floating-point latency is zero: a consumer
     /// becomes ready no earlier than the cycle after its producer issues.
+    /// Panics, naming the field, if a width, queue or unit count is zero:
+    /// an op that needs it could never dispatch or issue, and
+    /// [`Pipeline::run`] would step forever.
     pub fn new(cfg: CpuConfig) -> Self {
         assert!(
             cfg.int_latency > 0 && cfg.fp_latency > 0,
             "pipeline latencies must be at least one cycle"
         );
+        for (field, n) in [
+            ("issue_width", cfg.issue_width),
+            ("fetch_width", cfg.fetch_width),
+            ("commit_width", cfg.commit_width),
+            ("ruu_entries", cfg.ruu_entries),
+            ("lsq_entries", cfg.lsq_entries),
+            ("mem_ports", cfg.mem_ports),
+            ("int_units", cfg.int_units),
+            ("fp_units", cfg.fp_units),
+        ] {
+            assert!(n > 0, "CpuConfig::{field} must be at least 1");
+        }
         Pipeline {
             predictor: Bimodal::new(cfg.predictor_entries),
             stats: CpuStatsProbe::default(),
@@ -528,6 +543,29 @@ mod tests {
 
     fn alu(pc: u64) -> TraceOp {
         TraceOp::new(pc, OpKind::IntAlu)
+    }
+
+    #[test]
+    fn zero_resources_panic_naming_the_field() {
+        type Zero = fn(&mut CpuConfig);
+        let zeroed: [(&str, Zero); 8] = [
+            ("issue_width", |c| c.issue_width = 0),
+            ("fetch_width", |c| c.fetch_width = 0),
+            ("commit_width", |c| c.commit_width = 0),
+            ("ruu_entries", |c| c.ruu_entries = 0),
+            ("lsq_entries", |c| c.lsq_entries = 0),
+            ("mem_ports", |c| c.mem_ports = 0),
+            ("int_units", |c| c.int_units = 0),
+            ("fp_units", |c| c.fp_units = 0),
+        ];
+        for (field, zero) in zeroed {
+            let mut cfg = CpuConfig::paper_base();
+            zero(&mut cfg);
+            let err = std::panic::catch_unwind(|| Pipeline::new(cfg))
+                .expect_err("a zero resource must be rejected");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains(field), "{field}: panic message {msg:?}");
+        }
     }
 
     #[test]

@@ -75,13 +75,14 @@ pub struct HierarchyConfig {
     pub l1_victim_entries: usize,
     /// L2 victim-cache entries (used when `assist == Victim`).
     pub l2_victim_entries: usize,
-    /// Stream-buffer parameters (used when `assist == Stream`).
+    /// Stream-buffer parameters (used when `assist == Stream` and no
+    /// controller is attached).
     pub stream: crate::stream::StreamConfig,
     /// Online per-region assist controller. When set, both the bypass and
     /// victim structures are built and the controller picks among
-    /// {off, bypass, victim} per region at run time (the [`AssistKind`]
-    /// field then only selects an additional static stream assist); when
-    /// `None`, assist selection is fully static.
+    /// {off, bypass, victim} per region at run time; no stream buffers are
+    /// built, whatever the [`AssistKind`] field says. When `None`, assist
+    /// selection is fully static.
     pub controller: Option<ControllerConfig>,
 }
 
@@ -150,7 +151,7 @@ impl MemoryHierarchy {
     pub fn new(cfg: HierarchyConfig) -> Self {
         // A controller arbitrates between bypassing and victim caching at
         // run time, so it needs both structures built regardless of the
-        // static assist selection.
+        // static assist selection; it never picks stream buffers.
         let dynamic = cfg.controller.is_some();
         let bypass =
             (cfg.assist == AssistKind::Bypass || dynamic).then(|| BypassEngine::new(cfg.bypass));
@@ -158,7 +159,7 @@ impl MemoryHierarchy {
             .then(|| VictimCache::new(cfg.l1_victim_entries));
         let victim_l2 = (cfg.assist == AssistKind::Victim || dynamic)
             .then(|| VictimCache::new(cfg.l2_victim_entries));
-        let stream = (cfg.assist == AssistKind::Stream)
+        let stream = (cfg.assist == AssistKind::Stream && !dynamic)
             .then(|| crate::stream::StreamBuffers::new(cfg.stream));
         let adapt = cfg.controller.map(AdaptController::new);
         let duel =

@@ -7,7 +7,9 @@
 //! cargo run --example region_detection
 //! ```
 
-use selcache::compiler::{analyze_loop, detect_and_mark_with, eliminate_redundant_markers};
+use selcache::compiler::{
+    analyze_loop, detect_and_mark_with, eliminate_redundant_markers, AssistPolicy,
+};
 use selcache::ir::{pretty, AffineExpr, Item, ProgramBuilder, Subscript};
 
 fn main() {
@@ -59,7 +61,7 @@ fn main() {
     }
 
     // Naive marking = Figure 2(b); elimination = Figure 2(c).
-    let naive = detect_and_mark_with(&program, 0.5, 0.0);
+    let naive = detect_and_mark_with(&program, 0.5, 0.0, AssistPolicy::IrregularRegions);
     println!("\n=== After naive marking (Figure 2(b)): {} markers ===", naive.marker_count());
     print!("{}", pretty(&naive));
 

@@ -20,6 +20,9 @@
 //! `--threads 4`. `--skip-exact` skips the exact reference runs (and the
 //! accuracy gate), leaving just the sampled runs — the cheap mode for the
 //! thread-invariance diff.
+//!
+//! Every sampled job runs twice, the second time from the warm selection
+//! cache, and the example panics unless both results are identical.
 
 use selcache::core::json::Json;
 use selcache::core::{AssistKind, ExperimentBuilder, MachineConfig, SimMode, SimResult, Version};
@@ -114,6 +117,13 @@ fn main() {
         let sampled = sampled_exp.run(benchmark, scale, version);
         let sampled_secs = t0.elapsed().as_secs_f64();
         let info = sampled.sampled.expect("sampled runs report coverage");
+        // A rerun takes its interval selection from the warm selection
+        // cache and must reconstruct the identical result.
+        assert_eq!(
+            sampled_exp.run(benchmark, scale, version),
+            sampled,
+            "a rerun from the warm selection cache must be bit-identical"
+        );
 
         // Interval selection: how much of the trace the detailed pipeline
         // actually saw, and from how many representative intervals the

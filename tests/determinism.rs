@@ -4,8 +4,8 @@
 use selcache::compiler::{selective, OptConfig};
 use selcache::core::json::Json;
 use selcache::core::{
-    AssistKind, Experiment, JobEngine, MachineConfig, SimJob, SimMode, SimResult, Store, SweepAxis,
-    SweepMode, SweepSpec, Version,
+    AssistKind, ControllerConfig, Experiment, JobEngine, MachineConfig, SimJob, SimMode, SimResult,
+    Store, SweepAxis, SweepMode, SweepSpec, Version,
 };
 use selcache::ir::Interp;
 use selcache::workloads::{Benchmark, Scale};
@@ -175,4 +175,34 @@ fn victim_and_bypass_experiments_differ() {
     let a = bypass.run(Benchmark::Perl, Scale::Tiny, Version::PureHardware);
     let b = victim.run(Benchmark::Perl, Scale::Tiny, Version::PureHardware);
     assert_ne!(a.cycles, b.cycles);
+}
+
+#[test]
+fn controller_runs_match_for_every_static_assist() {
+    // Under the online controller the hardware picks {off, bypass, victim}
+    // per region and builds no stream buffers, so the three attached
+    // static assists must give the same run.
+    let versions = [Version::PureHardware, Version::Combined, Version::Selective];
+    let assists = [AssistKind::Bypass, AssistKind::Victim, AssistKind::Stream];
+    let jobs: Vec<SimJob> = assists
+        .iter()
+        .flat_map(|&assist| {
+            Benchmark::ALL.into_iter().flat_map(move |bm| {
+                versions.map(|v| {
+                    SimJob::new(bm, Scale::Tiny, MachineConfig::base(), assist, v)
+                        .with_controller(ControllerConfig::default())
+                })
+            })
+        })
+        .collect();
+    let results = JobEngine::new(0).run(&jobs);
+    let per_assist = jobs.len() / assists.len();
+    let (bypass, others) = results.split_at(per_assist);
+    for (other, assist) in others.chunks(per_assist).zip(&assists[1..]) {
+        for ((b, o), job) in bypass.iter().zip(other).zip(&jobs) {
+            let what = format!("{} {:?} under {assist:?}", job.benchmark, job.version);
+            assert_eq!(b.cpu, o.cpu, "{what}: CPU stats differ from Bypass");
+            assert_eq!(b.mem, o.mem, "{what}: hierarchy stats differ from Bypass");
+        }
+    }
 }

@@ -2,8 +2,11 @@
 //! executed marker must actually change the assist state, and preparation
 //! must never alter the program's computational work.
 
-use selcache::compiler::{selective, OptConfig};
-use selcache::ir::{Interp, OpKind};
+use selcache::compiler::{
+    detect_and_mark_with, optimize, region_partition, selective, AssistPolicy, OptConfig,
+    Preference, MIN_REGION_VOLUME,
+};
+use selcache::ir::{AffineExpr, Interp, Item, Marker, OpKind, Program, ProgramBuilder, Subscript};
 use selcache::workloads::{Benchmark, Scale};
 
 /// After elimination, the dynamic marker stream is non-redundant: starting
@@ -72,5 +75,111 @@ fn markers_are_the_only_selective_overhead() {
         assert_eq!(sw_non_marker, sel_non_marker, "{bm}: non-marker work differs");
         assert_eq!(count(&sw, true), 0, "{bm}: software code must carry no markers");
         assert!(count(&sel, true) > 0, "{bm}: selective code must carry markers");
+    }
+}
+
+/// Site of every marker, numbered as the interpreter assigns PCs: a loop
+/// header is one site before its body, a block one site per statement.
+fn marker_sites(items: &[Item], next: &mut usize, out: &mut Vec<(usize, Marker)>) {
+    for item in items {
+        match item {
+            Item::Loop(l) => {
+                *next += 1;
+                marker_sites(&l.body, next, out);
+            }
+            Item::Block(stmts) => *next += stmts.len(),
+            Item::Marker(m) => {
+                out.push((*next, *m));
+                *next += 1;
+            }
+        }
+    }
+}
+
+/// The region shapes no benchmark has at Tiny: a mixed loop with
+/// statements between its child nests, and a mixed loop whose child nests
+/// are too small to bracket, so it is one region.
+fn coarse_and_fine_mixed_loops() -> Program {
+    let mut b = ProgramBuilder::new("mixed-shapes");
+    let a = b.array("A", &[512], 8);
+    let x = b.array("X", &[512], 8);
+    let h = b.array("H", &[512], 16);
+    let n = b.data_array("N", (0..512).collect(), 8);
+    let ip = b.data_array("IP", (0..512).rev().collect(), 4);
+    b.loop_(4, |b, _| {
+        b.loop_(512, |b, i| {
+            b.stmt(|s| {
+                s.read(a, vec![Subscript::var(i)]);
+            });
+        });
+        b.stmt(|s| {
+            s.chase(h, n, 0);
+        });
+        b.loop_(512, |b, i| {
+            b.stmt(|s| {
+                s.gather(x, ip, AffineExpr::var(i), 0);
+            });
+        });
+    });
+    b.loop_(64, |b, _| {
+        b.loop_(4, |b, i| {
+            b.stmt(|s| {
+                s.read(a, vec![Subscript::var(i)]).fp(1);
+            });
+        });
+        b.loop_(4, |b, i| {
+            b.stmt(|s| {
+                s.gather(x, ip, AffineExpr::var(i), 0);
+            });
+        });
+    });
+    b.finish().expect("valid program")
+}
+
+/// Marking and partition decide each item's region once: every marker of
+/// the naive marking opens the region that follows it, and its polarity is
+/// the policy's marker for that region's hardware/software tag.
+#[test]
+fn naive_markers_open_the_region_they_control() {
+    let opt = OptConfig::default();
+    let shapes = coarse_and_fine_mixed_loops();
+    let labels = region_partition(&shapes, opt.threshold).labels().join(" ");
+    assert!(labels.contains("stmts:") && labels.contains(":mix-"), "{labels}");
+    let mut programs = vec![("mixed shapes".to_string(), shapes)];
+    for bm in Benchmark::ALL {
+        let raw = bm.build(Scale::Tiny);
+        programs.push((format!("{bm} optimized"), optimize(&raw, &opt)));
+        programs.push((format!("{bm} raw"), raw));
+    }
+    let policies = [
+        AssistPolicy::IrregularRegions,
+        AssistPolicy::RegularRegions,
+        AssistPolicy::Always,
+        AssistPolicy::Dynamic,
+    ];
+    for (name, program) in &programs {
+        for policy in policies {
+            let marked = detect_and_mark_with(program, opt.threshold, MIN_REGION_VOLUME, policy);
+            let map = region_partition(&marked, opt.threshold);
+            let mut markers = Vec::new();
+            marker_sites(&marked.items, &mut 0, &mut markers);
+            assert!(!markers.is_empty(), "{name}: no markers");
+            for (site, marker) in markers {
+                let what = format!("{name} {policy:?}, marker at site {site}");
+                let region = map.region_of_site(site);
+                assert_eq!(map.region_of_site(site + 1), region, "{what}");
+                assert!(
+                    site == 0 || map.region_of_site(site - 1) != region,
+                    "{what}: region opens before its marker"
+                );
+                let label = map.label(region);
+                let pref = match label.rsplit(':').next().map(|t| t.trim_start_matches("mix-")) {
+                    Some("hw") => Preference::Hardware,
+                    Some("sw") => Preference::Software,
+                    _ => panic!("{what}: region {label:?} has no hw/sw tag"),
+                };
+                assert_eq!(marker, policy.marker_for(pref), "{what}: region {label:?}");
+            }
+        }
     }
 }
