@@ -1,7 +1,8 @@
 //! Ablation studies for the design choices called out in `DESIGN.md`:
 //! simulated-cycle impact of the out-of-order model, the region-detection
-//! threshold, the MAT geometry, redundant-marker elimination, fine-grained
-//! region coalescing, and each compiler pass.
+//! threshold, the MAT geometry, redundant-marker elimination, and each
+//! compiler pass. The extension passes (fusion, distribution,
+//! unroll-and-jam) are measured by the `extensions` binary.
 //!
 //! Each study submits its whole grid as one job set: the engine runs the
 //! cells in parallel and deduplicates shared runs (e.g. the threshold
@@ -12,11 +13,10 @@
 
 use selcache_bench::Cli;
 use selcache_compiler::{
-    detect_and_mark, detect_and_mark_with, eliminate_redundant_markers, optimize, AssistPolicy,
-    OptConfig,
+    detect_and_mark, eliminate_redundant_markers, optimize, AssistPolicy, OptConfig,
 };
 use selcache_core::{
-    AssistKind, Benchmark, Experiment, JobEngine, MachineConfig, Scale, SimJob, SimResult, Version,
+    AssistKind, Benchmark, JobEngine, MachineConfig, Scale, SimJob, SimResult, Version,
 };
 use selcache_cpu::CpuModel;
 use selcache_ir::{Interp, OpKind};
@@ -29,9 +29,7 @@ fn main() {
     threshold_ablation(&engine, scale);
     mat_ablation(&engine, scale);
     marker_elimination_ablation(scale);
-    region_granularity_ablation(scale);
     pass_ablation(&engine, scale);
-    fusion_distribution_ablation(&engine, scale);
 }
 
 /// A `(Base, version)` job pair for one grid cell; run the collected pairs
@@ -159,7 +157,7 @@ fn marker_elimination_ablation(scale: Scale) {
     let opt = OptConfig::default();
     for bm in [Benchmark::Chaos, Benchmark::TpcC, Benchmark::TpcDQ1] {
         let p = optimize(&bm.build(scale), &opt);
-        let naive = detect_and_mark(&p, opt.threshold);
+        let naive = detect_and_mark(&p, opt.threshold, AssistPolicy::IrregularRegions);
         let eliminated = eliminate_redundant_markers(&naive);
         let toggles = |p: &selcache_ir::Program| {
             Interp::new(p)
@@ -167,60 +165,6 @@ fn marker_elimination_ablation(scale: Scale) {
                 .count()
         };
         println!("{:<12} {:>10} {:>10}", bm.name(), toggles(&naive), toggles(&eliminated));
-    }
-    println!();
-}
-
-/// Region-granularity ablation: per-region bracketing vs. coalescing
-/// fine-grained mixed loops (executed toggles + selective improvement).
-/// Runs hand-marked programs, so it stays on [`Experiment::run_program`].
-fn region_granularity_ablation(scale: Scale) {
-    println!("== Ablation: fine-grained region coalescing (TPC-C) ==");
-    let opt = OptConfig::default();
-    let exp = Experiment::new(MachineConfig::base(), AssistKind::Bypass);
-    let p = Benchmark::TpcC.build(scale);
-    let base = exp.run_program(&p, Version::Base);
-    let optimized = optimize(&p, &opt);
-    for (name, min_volume) in [("per-region (min=0)", 0.0), ("coalesced (min=256)", 256.0)] {
-        let marked = eliminate_redundant_markers(&detect_and_mark_with(
-            &optimized,
-            opt.threshold,
-            min_volume,
-            AssistPolicy::IrregularRegions,
-        ));
-        let r = exp.run_program(&marked, Version::Selective);
-        println!(
-            "{name:<22} toggles={:<8} improvement={:.2}%",
-            r.cpu.assist_toggles,
-            r.improvement_over(&base)
-        );
-    }
-    println!();
-}
-
-/// Extension passes: loop fusion and distribution (off by default).
-fn fusion_distribution_ablation(engine: &JobEngine, scale: Scale) {
-    println!("== Ablation: extension passes (pure software improvement) ==");
-    println!("{:<12} {:>10} {:>10} {:>12}", "Benchmark", "default", "+fusion", "+distribution");
-    let benchmarks = [Benchmark::Swim, Benchmark::Vpenta, Benchmark::TpcDQ1];
-    let machine = MachineConfig::base();
-    let mut pairs = Vec::new();
-    for bm in benchmarks {
-        for (fusion, distribute) in [(false, false), (true, false), (false, true)] {
-            let cfg = OptConfig { fusion, distribute, ..OptConfig::default() };
-            pairs.push(pair(
-                bm,
-                scale,
-                &machine,
-                AssistKind::None,
-                Version::PureSoftware,
-                Some(cfg),
-            ));
-        }
-    }
-    let cells = improvements(engine, pairs);
-    for (bm, row) in benchmarks.iter().zip(cells.chunks_exact(3)) {
-        println!("{:<12} {:>9.2}% {:>9.2}% {:>11.2}%", bm.name(), row[0], row[1], row[2]);
     }
     println!();
 }

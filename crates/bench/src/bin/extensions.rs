@@ -13,7 +13,7 @@
 
 use selcache_bench::adapt::Ablation;
 use selcache_bench::Cli;
-use selcache_compiler::{insert_markers_for, optimize, AssistPolicy, OptConfig};
+use selcache_compiler::{insert_markers, optimize, AssistPolicy, OptConfig};
 use selcache_core::{
     AssistKind, Benchmark, ControllerConfig, Experiment, JobEngine, MachineConfig, Scale, SimJob,
     SuiteResult, Version,
@@ -94,7 +94,7 @@ fn assist_aware_selective(scale: Scale) {
     ] {
         let mut total = 0.0;
         for (optimized, base) in &prepared {
-            let marked = insert_markers_for(optimized, exp.opt().threshold, policy);
+            let marked = insert_markers(optimized, exp.opt().threshold, policy);
             let r = exp.run_program(&marked, Version::Selective);
             total += r.improvement_over(base);
         }

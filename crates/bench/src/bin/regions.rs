@@ -13,29 +13,19 @@
 //! region's final {off, bypass, victim} decision.
 use selcache_bench::{Cli, OutputFormat};
 use selcache_core::json::Json;
+use selcache_core::store::region_to_json;
 use selcache_core::{
     format_region_report, ControllerConfig, MachineConfig, SimJob, SimResult, Version,
 };
 use std::fmt::Write as _;
 
+/// The store's encoding of a region, plus its assist coverage.
 fn region_json(r: &selcache_core::RegionStats) -> Json {
-    Json::obj([
-        ("label", Json::str(r.label.clone())),
-        ("cycles", Json::UInt(r.cycles)),
-        ("committed", Json::UInt(r.committed)),
-        ("loads", Json::UInt(r.loads)),
-        ("stores", Json::UInt(r.stores)),
-        ("l1d_accesses", Json::UInt(r.l1d_accesses)),
-        ("l1d_misses", Json::UInt(r.l1d_misses)),
-        ("l2_accesses", Json::UInt(r.l2_accesses)),
-        ("l2_misses", Json::UInt(r.l2_misses)),
-        ("assisted_accesses", Json::UInt(r.assisted_accesses)),
-        ("assist_hits", Json::UInt(r.assist_hits)),
-        ("toggles", Json::UInt(r.toggles)),
-        ("policy_switches", Json::UInt(r.policy_switches)),
-        ("final_policy", Json::str(r.final_policy.clone())),
-        ("assist_coverage_pct", Json::Num(r.assist_coverage_pct())),
-    ])
+    let Json::Obj(mut pairs) = region_to_json(r) else {
+        unreachable!("a region encodes as an object")
+    };
+    pairs.push(("assist_coverage_pct".to_string(), Json::Num(r.assist_coverage_pct())));
+    Json::Obj(pairs)
 }
 
 fn result_json(name: &str, r: &SimResult, dynamic: bool) -> Json {

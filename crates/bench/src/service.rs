@@ -53,6 +53,8 @@
 //! [`MAX_DEPTH`](selcache_core::json::MAX_DEPTH), never kill the
 //! connection: they are answered with
 //! `{"ok":false,"kind":"error","message":...}` and the server reads on.
+//! The server holds at most [`MAX_CONNECTIONS`] connections open; one more
+//! is answered with a single error line and closed.
 //!
 //! # Shutdown
 //!
@@ -64,6 +66,7 @@
 use crate::engine_stats_json;
 use crate::parse_benchmark;
 use selcache_core::json::Json;
+use selcache_core::store::sampled_to_json;
 use selcache_core::{
     AssistKind, ConfigVariant, ControllerConfig, EngineStats, JobEngine, Scale, SimJob, SimMode,
     SimResult, Version,
@@ -85,6 +88,10 @@ const POLL: Duration = Duration::from_millis(25);
 /// Hard cap on bytes buffered for a single request line; a client that
 /// exceeds it gets an error and is disconnected.
 const MAX_LINE: usize = 1 << 20;
+
+/// Most connections served at once, each on its own thread. A connection
+/// beyond it gets one error line and is closed.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Asks the server (and every open connection) to wind down. Safe to call
 /// from a signal handler: it is a single atomic store.
@@ -184,13 +191,18 @@ impl Server {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !shutdown_requested() {
             match self.listener.accept() {
-                Ok((stream, _addr)) => {
-                    let state = Arc::clone(&self.state);
-                    state.totals().connections += 1;
-                    handlers.push(std::thread::spawn(move || handle_conn(stream, &state)));
+                Ok((mut stream, _addr)) => {
                     for done in handlers.extract_if(.., |h| h.is_finished()) {
                         join_handler(done);
                     }
+                    if handlers.len() >= MAX_CONNECTIONS {
+                        let msg = format!("server busy: {MAX_CONNECTIONS} connections open");
+                        let _ = write_line(&mut stream, &error_json(&msg));
+                        continue;
+                    }
+                    let state = Arc::clone(&self.state);
+                    state.totals().connections += 1;
+                    handlers.push(std::thread::spawn(move || handle_conn(stream, &state)));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(POLL);
@@ -424,16 +436,7 @@ fn result_json(index: usize, job: &SimJob, r: &SimResult) -> Json {
         pairs.push(("regions", Json::UInt(profile.regions().len() as u64)));
     }
     if let Some(info) = &r.sampled {
-        pairs.push((
-            "sampled",
-            Json::obj([
-                ("total_ops", Json::UInt(info.total_ops)),
-                ("intervals", Json::UInt(info.intervals as u64)),
-                ("representatives", Json::UInt(info.representatives as u64)),
-                ("detailed_ops", Json::UInt(info.detailed_ops)),
-                ("warmup_ops", Json::UInt(info.warmup_ops)),
-            ]),
-        ));
+        pairs.push(("sampled", sampled_to_json(info)));
     }
     Json::obj(pairs)
 }
@@ -563,11 +566,19 @@ fn job_from_json(spec: &Json) -> Result<SimJob, String> {
 /// drive).
 pub fn request_once(path: &Path, line: &str, out: &mut impl Write) -> io::Result<()> {
     let mut stream = UnixStream::connect(path)?;
-    stream.write_all(line.trim().as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.shutdown(std::net::Shutdown::Write)?;
+    let sent = stream
+        .write_all(format!("{}\n", line.trim()).as_bytes())
+        .and_then(|()| stream.shutdown(std::net::Shutdown::Write));
     let mut response = Vec::new();
-    stream.read_to_end(&mut response)?;
+    let read = stream.read_to_end(&mut response);
+    // A server that answers with an error and closes without reading the
+    // rest of the request (a connection beyond the cap, a line over 1 MiB)
+    // can fail the send, or reset the connection after its error line.
+    // That line is still the answer.
+    if !response.ends_with(b"\n") {
+        sent?;
+        read?;
+    }
     out.write_all(&response)
 }
 

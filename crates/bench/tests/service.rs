@@ -1,13 +1,13 @@
 //! In-process integration test of the `selcached` service: a server on a
 //! temp socket, concurrent clients with overlapping job sets, cross-client
-//! dedup through the shared store, clients that drop mid-stream, and
-//! graceful shutdown.
+//! dedup through the shared store, clients that drop mid-stream, the cap on
+//! open connections, and graceful shutdown.
 #![cfg(unix)]
 
 use selcache_bench::service::{self, Server};
 use selcache_core::json::Json;
 use selcache_core::{JobEngine, Store};
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -423,6 +423,62 @@ fn hostile_lines_are_answered_not_fatal() {
 
     let bye = request(&sock, r#"{"op":"shutdown"}"#);
     assert_eq!(kind(&bye[0]), "bye");
+    server_thread.join().expect("server thread");
+    service::reset_shutdown();
+}
+
+/// Sends `ping` on `stream` and parses the first response line. A refused
+/// connection may be closed before the ping is written, but its one error
+/// line is still there to read.
+fn ping_on(stream: &UnixStream) -> Json {
+    let _ = (&*stream).write_all(b"{\"op\":\"ping\"}\n");
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).expect("read response line");
+    Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response line {line:?}: {e}"))
+}
+
+/// Opens a connection the server serves, retrying while the handlers of
+/// connections that just closed have not yet finished.
+fn served_connection(sock: &Path) -> UnixStream {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stream = UnixStream::connect(sock).expect("connect");
+        let reply = ping_on(&stream);
+        if kind(&reply) == "pong" {
+            return stream;
+        }
+        assert!(Instant::now() < deadline, "never served: {reply}");
+        drop(stream);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn connections_beyond_the_cap_are_refused() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    service::reset_shutdown();
+    let root = TempRoot::new("cap");
+    let sock = root.0.join("cap.sock");
+    let server = Server::bind(&sock, JobEngine::new(1)).expect("bind");
+    let server_thread = std::thread::spawn(move || server.run().expect("server run"));
+    await_server(&sock);
+
+    // Exactly the cap's number of idle, served clients...
+    let mut idle: Vec<UnixStream> =
+        (0..service::MAX_CONNECTIONS).map(|_| served_connection(&sock)).collect();
+    // ...and one more, which gets one error line and is closed.
+    let lines = request(&sock, r#"{"op":"ping"}"#);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert_eq!(kind(&lines[0]), "error");
+    let msg = lines[0].get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(msg.contains("server busy"), "{msg}");
+
+    // Once one idle client hangs up, a new connection is served.
+    drop(idle.pop());
+    drop(served_connection(&sock));
+
+    drop(idle);
+    service::request_shutdown();
     server_thread.join().expect("server thread");
     service::reset_shutdown();
 }

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod assist_aware;
 pub mod classify;
 pub mod depend;
 pub mod distribution;
@@ -57,7 +56,6 @@ pub mod scalar;
 pub mod tiling;
 pub mod unroll;
 
-pub use assist_aware::{insert_markers_for, AssistPolicy};
 pub use classify::{loop_counts, Preference, RefCounts};
 pub use depend::{band_fully_permutable, nest_dependences, permutation_legal, Dependence, Dist};
 pub use distribution::{distribute_loops, distribute_nest};
@@ -66,14 +64,9 @@ pub use interchange::interchange_nest;
 pub use layout::select_layouts;
 pub use nest::{NestLevel, PerfectNest};
 pub use padding::{pad_arrays, PaddingConfig};
-pub use passes::{
-    apply_to_software_loops, insert_markers, optimize, selective, selective_for, OptConfig,
-};
+pub use passes::{apply_to_software_loops, insert_markers, optimize, selective, OptConfig};
 pub use redundant::eliminate_redundant_markers;
-pub use region::{
-    analyze_loop, detect_and_mark, detect_and_mark_with, region_partition, RegionClass,
-    MIN_REGION_VOLUME,
-};
+pub use region::{analyze_loop, detect_and_mark, region_partition, AssistPolicy, RegionClass};
 pub use reuse::{innermost_cost, preferred_permutation, ref_stride};
 pub use scalar::scalar_replace;
 pub use tiling::{tile_nest, IdAlloc, TilingConfig};

@@ -6,7 +6,7 @@ use crate::interchange::interchange_nest;
 use crate::layout::select_layouts;
 use crate::padding::{pad_arrays, PaddingConfig};
 use crate::redundant::eliminate_redundant_markers;
-use crate::region::{analyze_loop, detect_and_mark, RegionClass};
+use crate::region::{analyze_loop, detect_and_mark, AssistPolicy, RegionClass};
 use crate::scalar::scalar_replace;
 use crate::tiling::{tile_nest, IdAlloc, TilingConfig};
 use selcache_ir::{ArrayDecl, Item, Loop, Program};
@@ -176,26 +176,18 @@ pub fn optimize(program: &Program, cfg: &OptConfig) -> Program {
     p
 }
 
-/// Runs region detection, inserts ON/OFF markers, and eliminates the
-/// redundant ones (the selective scheme's compile-time half).
-pub fn insert_markers(program: &Program, threshold: f64) -> Program {
-    eliminate_redundant_markers(&detect_and_mark(program, threshold))
+/// Runs region detection, inserts ON/OFF markers chosen by `policy`, and
+/// eliminates the redundant ones (the selective scheme's compile-time
+/// half).
+pub fn insert_markers(program: &Program, threshold: f64, policy: AssistPolicy) -> Program {
+    eliminate_redundant_markers(&detect_and_mark(program, threshold, policy))
 }
 
 /// Produces the *selective* binary: software-optimized code plus ON/OFF
-/// markers around the hardware regions.
+/// markers around the hardware regions (the paper's rule,
+/// [`AssistPolicy::IrregularRegions`]).
 pub fn selective(program: &Program, cfg: &OptConfig) -> Program {
-    insert_markers(&optimize(program, cfg), cfg.threshold)
-}
-
-/// [`selective`] under an explicit [`crate::AssistPolicy`]:
-/// software-optimized code with the per-region markers chosen by `policy`
-/// instead of the paper's irregular-regions rule. With
-/// [`crate::AssistPolicy::Dynamic`] this is the preparation the runtime
-/// controller executes — every region marked ON, decisions deferred to
-/// hardware.
-pub fn selective_for(program: &Program, cfg: &OptConfig, policy: crate::AssistPolicy) -> Program {
-    crate::insert_markers_for(&optimize(program, cfg), cfg.threshold, policy)
+    insert_markers(&optimize(program, cfg), cfg.threshold, AssistPolicy::IrregularRegions)
 }
 
 #[cfg(test)]
@@ -289,7 +281,7 @@ mod tests {
             });
         }
         let p = b.finish().unwrap();
-        let s = insert_markers(&p, 0.5);
+        let s = insert_markers(&p, 0.5, AssistPolicy::IrregularRegions);
         // ON (hw1) OFF (sw2) ON (hw2); leading OFF eliminated.
         assert_eq!(s.marker_count(), 3);
     }

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn end_to_end_with_region_detection() {
-        use crate::region::detect_and_mark;
+        use crate::region::{detect_and_mark, AssistPolicy};
         let mut b = ProgramBuilder::new("t");
         let a = b.array("A", &[64], 8);
         // Two consecutive software nests: the second OFF is redundant and
@@ -267,7 +267,7 @@ mod tests {
             });
         }
         let p = b.finish().unwrap();
-        let marked = detect_and_mark(&p, 0.5);
+        let marked = detect_and_mark(&p, 0.5, AssistPolicy::IrregularRegions);
         assert_eq!(marked.marker_count(), 2);
         let e = eliminate_redundant_markers(&marked);
         assert_eq!(count_markers(&e.items), 0);

@@ -14,9 +14,8 @@
 //! redundancy elimination of [`crate::redundant`] then produces
 //! Figure 2(c).
 
-use crate::assist_aware::AssistPolicy;
 use crate::classify::{items_counts, stmt_counts, Preference, RefCounts};
-use selcache_ir::{site_count, Item, Loop, Program, RegionMap, RegionMapBuilder};
+use selcache_ir::{site_count, Item, Loop, Marker, Program, RegionMap, RegionMapBuilder};
 
 /// Classification of a loop region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,58 +55,55 @@ pub fn analyze_loop(l: &Loop, threshold: f64) -> RegionClass {
     }
 }
 
-/// Minimum dynamic statement executions for a region to warrant its own
-/// ON/OFF bracket. A mixed loop whose child regions are all smaller than
-/// this is classified as a whole by its volume-weighted reference mix —
-/// switching the assist every few iterations would cost more than it saves.
-pub const MIN_REGION_VOLUME: f64 = 256.0;
-
-/// Estimated dynamic statement executions of an item list.
-fn dyn_stmts(items: &[Item], mult: f64) -> f64 {
-    items
-        .iter()
-        .map(|it| match it {
-            Item::Loop(l) => dyn_stmts(&l.body, mult * l.trip.max().max(0) as f64),
-            Item::Block(stmts) => mult * stmts.len() as f64,
-            Item::Marker(_) => 0.0,
-        })
-        .sum()
+/// Which program regions an assist benefits: the policy that picks each
+/// region's ON/OFF marker from its hardware/software preference.
+///
+/// The paper's rule enables the assist on irregular regions, the right
+/// policy for conflict-reduction assists (MAT bypassing, victim caches),
+/// whose value lies in protecting hot data from irregular traffic. For a
+/// prefetching assist the mapping inverts: stream buffers help exactly the
+/// regions with sequential miss streams, i.e. the regular ones (see
+/// EXPERIMENTS.md, "Extension experiments").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AssistPolicy {
+    /// Conflict-reduction mechanisms (bypassing, victim caches): enable on
+    /// irregular regions — the paper's rule.
+    IrregularRegions,
+    /// Prefetching mechanisms (stream buffers): enable on regular regions,
+    /// whose miss streams are sequential.
+    RegularRegions,
+    /// Enable everywhere (equivalent to the combined version, expressed as
+    /// markers). A run with the online assist controller attached is
+    /// prepared this way: every region is ON, so the controller sees all of
+    /// them and picks the assist per region at run time.
+    Always,
 }
 
-/// Volume-weighted (analyzable, total) reference counts.
-fn weighted_counts(items: &[Item], mult: f64) -> (f64, f64) {
-    let mut ana = 0.0;
-    let mut tot = 0.0;
-    for it in items {
-        match it {
-            Item::Loop(l) => {
-                let (a, t) = weighted_counts(&l.body, mult * l.trip.max().max(0) as f64);
-                ana += a;
-                tot += t;
-            }
-            Item::Block(stmts) => {
-                for s in stmts {
-                    let c = stmt_counts(s);
-                    ana += mult * c.analyzable as f64;
-                    tot += mult * c.total as f64;
-                }
-            }
-            Item::Marker(_) => {}
+impl AssistPolicy {
+    /// The marker a region with the given (paper-rule) preference receives
+    /// under this policy.
+    pub fn marker_for(&self, preference: Preference) -> Marker {
+        let on = match self {
+            AssistPolicy::IrregularRegions => preference == Preference::Hardware,
+            AssistPolicy::RegularRegions => preference == Preference::Software,
+            AssistPolicy::Always => true,
+        };
+        if on {
+            Marker::On
+        } else {
+            Marker::Off
         }
     }
-    (ana, tot)
 }
 
 /// What Section 2.2 makes of one item: the one decision that both the
 /// marking and the partition walk follow.
 enum ItemRegion<'a> {
-    /// A loop that is one region with one method: a nest whose loops all
-    /// agree, or (`mixed`) a mixed loop whose child regions are all too
-    /// small to bracket, classified by its volume-weighted reference mix.
-    Nest { l: &'a Loop, pref: Preference, mixed: bool },
-    /// A coarse mixed loop: its children are regions of their own, and
-    /// its header and latch are control overhead outside them.
-    Coarse(&'a Loop),
+    /// A loop nest whose loops all agree: one region with one method.
+    Nest { l: &'a Loop, pref: Preference },
+    /// A mixed loop: its children are regions of their own, and its header
+    /// and latch are control overhead outside them.
+    Mixed(&'a Loop),
     /// Statements sandwiched between nests: an imaginary loop that
     /// iterates once, classified by its own references.
     Stmts { count: usize, pref: Preference },
@@ -115,28 +111,11 @@ enum ItemRegion<'a> {
     Marker,
 }
 
-fn item_region(item: &Item, threshold: f64, min_volume: f64) -> ItemRegion<'_> {
+fn item_region(item: &Item, threshold: f64) -> ItemRegion<'_> {
     match item {
         Item::Loop(l) => match analyze_loop(l, threshold) {
-            RegionClass::Uniform(pref) => ItemRegion::Nest { l, pref, mixed: false },
-            RegionClass::Mixed => {
-                let fine_grained = l.body.iter().all(|it| match it {
-                    Item::Loop(inner) => {
-                        dyn_stmts(&inner.body, inner.trip.max().max(0) as f64) < min_volume
-                    }
-                    _ => true,
-                });
-                if !fine_grained {
-                    return ItemRegion::Coarse(l);
-                }
-                let (ana, tot) = weighted_counts(&l.body, 1.0);
-                let pref = if tot == 0.0 || ana / tot > threshold {
-                    Preference::Software
-                } else {
-                    Preference::Hardware
-                };
-                ItemRegion::Nest { l, pref, mixed: true }
-            }
+            RegionClass::Uniform(pref) => ItemRegion::Nest { l, pref },
+            RegionClass::Mixed => ItemRegion::Mixed(l),
         },
         Item::Block(stmts) => {
             let c = stmts.iter().fold(RefCounts::default(), |acc, s| acc.merge(stmt_counts(s)));
@@ -146,23 +125,17 @@ fn item_region(item: &Item, threshold: f64, min_volume: f64) -> ItemRegion<'_> {
     }
 }
 
-fn mark_items(
-    items: &[Item],
-    threshold: f64,
-    min_volume: f64,
-    policy: AssistPolicy,
-    out: &mut Vec<Item>,
-) {
+fn mark_items(items: &[Item], threshold: f64, policy: AssistPolicy, out: &mut Vec<Item>) {
     for item in items {
-        match item_region(item, threshold, min_volume) {
+        match item_region(item, threshold) {
             ItemRegion::Nest { pref, .. } | ItemRegion::Stmts { pref, .. } => {
                 out.push(Item::Marker(policy.marker_for(pref)));
                 out.push(item.clone());
             }
-            ItemRegion::Coarse(l) => {
+            ItemRegion::Mixed(l) => {
                 // Children get their own markers.
                 let mut body = Vec::new();
-                mark_items(&l.body, threshold, min_volume, policy, &mut body);
+                mark_items(&l.body, threshold, policy, &mut body);
                 out.push(Item::Loop(Loop { id: l.id, var: l.var, trip: l.trip, body }));
             }
             ItemRegion::Marker => out.push(item.clone()),
@@ -171,24 +144,13 @@ fn mark_items(
 }
 
 /// Runs region detection and inserts the naive (per-region-header) ON/OFF
-/// markers of the paper's rule, returning a new program. Use
+/// markers, each region's polarity chosen from its preference by `policy`,
+/// returning a new program. Use
 /// [`crate::redundant::eliminate_redundant_markers`] afterwards, or call
 /// [`crate::insert_markers`] which does both.
-pub fn detect_and_mark(program: &Program, threshold: f64) -> Program {
-    detect_and_mark_with(program, threshold, MIN_REGION_VOLUME, AssistPolicy::IrregularRegions)
-}
-
-/// [`detect_and_mark`] with an explicit fine-grained-region threshold
-/// (exposed for ablation studies; 0 disables coalescing) and the policy
-/// that picks each region's marker from its preference.
-pub fn detect_and_mark_with(
-    program: &Program,
-    threshold: f64,
-    min_volume: f64,
-    policy: AssistPolicy,
-) -> Program {
+pub fn detect_and_mark(program: &Program, threshold: f64, policy: AssistPolicy) -> Program {
     let mut items = Vec::new();
-    mark_items(&program.items, threshold, min_volume, policy, &mut items);
+    mark_items(&program.items, threshold, policy, &mut items);
     Program { items, ..program.clone() }
 }
 
@@ -201,13 +163,12 @@ fn pref_tag(p: Preference) -> &'static str {
 
 fn partition_items(items: &[Item], threshold: f64, b: &mut RegionMapBuilder) {
     for item in items {
-        match item_region(item, threshold, MIN_REGION_VOLUME) {
-            ItemRegion::Nest { l, pref, mixed } => {
-                let mix = if mixed { "mix-" } else { "" };
-                b.open(format!("L{}:{mix}{}", l.id.0, pref_tag(pref)));
+        match item_region(item, threshold) {
+            ItemRegion::Nest { l, pref } => {
+                b.open(format!("L{}:{}", l.id.0, pref_tag(pref)));
                 b.sites(site_count(std::slice::from_ref(item)));
             }
-            ItemRegion::Coarse(l) => {
+            ItemRegion::Mixed(l) => {
                 b.open(format!("L{}:ctl", l.id.0));
                 b.site();
                 partition_items(&l.body, threshold, b);
@@ -226,12 +187,11 @@ fn partition_items(items: &[Item], threshold: f64, b: &mut RegionMapBuilder) {
 /// attribution.
 ///
 /// The partition mirrors [`detect_and_mark`]'s marker granularity exactly —
-/// a uniform loop nest is one region, a fine-grained mixed loop is one
-/// region, a coarse mixed loop contributes a control region for its
-/// header/latch and recurses — so per-region statistics line up with the
-/// ON/OFF brackets the selective scheme inserts. Marker items already in
-/// the program attach to the region that follows them (the paper places
-/// markers immediately before the region they control).
+/// a uniform loop nest is one region, a mixed loop contributes a control
+/// region for its header/latch and recurses — so per-region statistics
+/// line up with the ON/OFF brackets the selective scheme inserts. Marker
+/// items already in the program attach to the region that follows them
+/// (the paper places markers immediately before the region they control).
 pub fn region_partition(program: &Program, threshold: f64) -> RegionMap {
     let mut b = RegionMapBuilder::new();
     partition_items(&program.items, threshold, &mut b);
@@ -241,7 +201,8 @@ pub fn region_partition(program: &Program, threshold: f64) -> RegionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selcache_ir::{AffineExpr, Marker, ProgramBuilder, Subscript};
+    use crate::insert_markers;
+    use selcache_ir::{AffineExpr, Interp, OpKind, ProgramBuilder, Subscript};
 
     /// A program shaped like Figure 2(a): one outer loop with three level-2
     /// nests — hardware, software, hardware.
@@ -300,7 +261,7 @@ mod tests {
     #[test]
     fn naive_marking_brackets_each_region() {
         let p = figure2_like();
-        let marked = detect_and_mark(&p, 0.5);
+        let marked = detect_and_mark(&p, 0.5, AssistPolicy::IrregularRegions);
         let outer = marked.items[0].as_loop().unwrap();
         // ON nest1 OFF nest2 ON nest3 — one marker before each child nest.
         let kinds: Vec<_> = outer
@@ -325,7 +286,7 @@ mod tests {
             });
         });
         let p = b.finish().unwrap();
-        let marked = detect_and_mark(&p, 0.5);
+        let marked = detect_and_mark(&p, 0.5, AssistPolicy::IrregularRegions);
         assert_eq!(marked.marker_count(), 1);
         assert!(matches!(marked.items[0], Item::Marker(Marker::Off)));
     }
@@ -353,7 +314,7 @@ mod tests {
             });
         });
         let p = b.finish().unwrap();
-        let marked = detect_and_mark(&p, 0.5);
+        let marked = detect_and_mark(&p, 0.5, AssistPolicy::IrregularRegions);
         let outer = marked.items[0].as_loop().unwrap();
         let kinds: Vec<_> = outer
             .body
@@ -369,7 +330,7 @@ mod tests {
 
     #[test]
     fn validated_after_marking() {
-        let marked = detect_and_mark(&figure2_like(), 0.5);
+        let marked = detect_and_mark(&figure2_like(), 0.5, AssistPolicy::IrregularRegions);
         assert!(marked.validate().is_ok());
     }
 
@@ -387,7 +348,7 @@ mod tests {
     fn partition_mirrors_marker_granularity() {
         // The marked figure-2 program: outer ctl region + three child-nest
         // regions (hw, sw, hw), each owning its preceding marker site.
-        let marked = detect_and_mark(&figure2_like(), 0.5);
+        let marked = detect_and_mark(&figure2_like(), 0.5, AssistPolicy::IrregularRegions);
         let map = region_partition(&marked, 0.5);
         assert_eq!(map.num_sites(), site_count(&marked.items));
         let labels = map.labels();
@@ -398,7 +359,7 @@ mod tests {
 
     #[test]
     fn partition_attributes_markers_to_following_region() {
-        let marked = detect_and_mark(&figure2_like(), 0.5);
+        let marked = detect_and_mark(&figure2_like(), 0.5, AssistPolicy::IrregularRegions);
         let map = region_partition(&marked, 0.5);
         // Site walk: outer loop (ctl), then [marker, nest...] x3. The first
         // marker site (index 1) belongs to the first child region, not ctl.
@@ -410,7 +371,7 @@ mod tests {
     #[test]
     fn every_traced_op_lands_in_a_region() {
         use selcache_ir::Interp;
-        let marked = detect_and_mark(&figure2_like(), 0.5);
+        let marked = detect_and_mark(&figure2_like(), 0.5, AssistPolicy::IrregularRegions);
         let map = region_partition(&marked, 0.5);
         let mut per_region = vec![0u64; map.num_regions()];
         for op in Interp::with_regions(&marked, &map) {
@@ -418,5 +379,78 @@ mod tests {
             per_region[op.region.index()] += 1;
         }
         assert!(per_region.iter().all(|&n| n > 0), "empty region: {per_region:?}");
+    }
+
+    /// A regular loop followed by an irregular gather loop.
+    fn mixed() -> Program {
+        let mut b = ProgramBuilder::new("m");
+        let a = b.array("A", &[2048], 8);
+        let x = b.array("X", &[2048], 8);
+        let ip = b.data_array("IP", (0..2048).rev().collect(), 4);
+        b.loop_(2048, |b, i| {
+            b.stmt(|s| {
+                s.read(a, vec![Subscript::var(i)]).fp(1);
+            });
+        });
+        b.loop_(2048, |b, i| {
+            b.stmt(|s| {
+                s.gather(x, ip, AffineExpr::var(i), 0);
+            });
+        });
+        b.finish().unwrap()
+    }
+
+    fn dynamic_markers(p: &Program) -> Vec<OpKind> {
+        Interp::new(p)
+            .filter(|o| matches!(o.kind, OpKind::AssistOn | OpKind::AssistOff))
+            .map(|o| o.kind)
+            .collect()
+    }
+
+    #[test]
+    fn irregular_policy_matches_paper_rule() {
+        let p = mixed();
+        let a = insert_markers(&p, 0.5, AssistPolicy::IrregularRegions);
+        // ON before the gather loop only.
+        assert_eq!(dynamic_markers(&a), vec![OpKind::AssistOn]);
+    }
+
+    #[test]
+    fn regular_policy_inverts() {
+        let p = mixed();
+        let m = insert_markers(&p, 0.5, AssistPolicy::RegularRegions);
+        // The regular loop is first: ON for it, then OFF before the gather.
+        assert_eq!(dynamic_markers(&m), vec![OpKind::AssistOn, OpKind::AssistOff]);
+    }
+
+    #[test]
+    fn always_policy_single_on() {
+        let p = mixed();
+        let m = insert_markers(&p, 0.5, AssistPolicy::Always);
+        assert_eq!(dynamic_markers(&m), vec![OpKind::AssistOn]);
+    }
+
+    #[test]
+    fn policies_preserve_work() {
+        let p = mixed();
+        let loads =
+            |p: &Program| Interp::new(p).filter(|o| matches!(o.kind, OpKind::Load(_))).count();
+        for policy in
+            [AssistPolicy::IrregularRegions, AssistPolicy::RegularRegions, AssistPolicy::Always]
+        {
+            let m = insert_markers(&p, 0.5, policy);
+            assert_eq!(loads(&p), loads(&m), "{policy:?}");
+            assert!(m.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn marker_mapping_table() {
+        use AssistPolicy::*;
+        assert_eq!(IrregularRegions.marker_for(Preference::Hardware), Marker::On);
+        assert_eq!(IrregularRegions.marker_for(Preference::Software), Marker::Off);
+        assert_eq!(RegularRegions.marker_for(Preference::Hardware), Marker::Off);
+        assert_eq!(RegularRegions.marker_for(Preference::Software), Marker::On);
+        assert_eq!(Always.marker_for(Preference::Software), Marker::On);
     }
 }

@@ -3,7 +3,7 @@
 
 use selcache_compiler::{
     analyze_loop, detect_and_mark, eliminate_redundant_markers, fuse_loops, insert_markers,
-    optimize, selective, OptConfig, Preference, RegionClass,
+    optimize, selective, AssistPolicy, OptConfig, Preference, RegionClass,
 };
 use selcache_ir::{
     trace_len, AffineExpr, Interp, Item, Marker, OpKind, Program, ProgramBuilder, Subscript,
@@ -112,7 +112,7 @@ fn markers_bracket_exactly_the_hardware_work() {
 fn naive_vs_eliminated_markers_agree_dynamically() {
     let p = kitchen_sink();
     let o = optimize(&p, &OptConfig::default());
-    let naive = detect_and_mark(&o, 0.5);
+    let naive = detect_and_mark(&o, 0.5, AssistPolicy::IrregularRegions);
     let clean = eliminate_redundant_markers(&naive);
     // The flag state before every memory access must be identical.
     let states = |prog: &Program| -> Vec<bool> {
@@ -158,7 +158,7 @@ fn fusion_then_selective_is_consistent() {
     let stats = fuse_loops(&mut p, 0.5);
     assert_eq!(stats.fused, 1, "the two software loops fuse; the gather loop does not");
     assert!(trace_len(&p) < before_ops);
-    let marked = insert_markers(&p, 0.5);
+    let marked = insert_markers(&p, 0.5, AssistPolicy::IrregularRegions);
     assert_eq!(marked.marker_count(), 1); // single ON before the gather loop
     assert!(matches!(
         marked.items.last(),

@@ -46,7 +46,7 @@ use crate::runner::{default_opt, simulate, SimResult, Version};
 use crate::sampled::{simulate_sampled, SimMode};
 use crate::store::Store;
 use selcache_compiler::{
-    optimize, region_partition, selective, selective_for, AssistPolicy, OptConfig,
+    insert_markers, optimize, region_partition, selective, AssistPolicy, OptConfig,
 };
 use selcache_ir::Program;
 use selcache_mem::{AssistKind, ControllerConfig};
@@ -108,7 +108,7 @@ impl SimJob {
 
     /// Attaches the online assist controller to the job's machine. A
     /// [`Version::Selective`] job then prepares its program with
-    /// [`selcache_compiler::AssistPolicy::Dynamic`] (every region marked
+    /// [`selcache_compiler::AssistPolicy::Always`] (every region marked
     /// ON) and the hardware picks {off, bypass, victim} per region at run
     /// time; no stream buffers are built, whatever the `assist` field
     /// says. Part of the execution identity — dynamic and static runs of
@@ -171,7 +171,9 @@ impl PrepKind {
             PrepKind::Raw => program.clone(),
             PrepKind::Optimized(opt) => optimize(program, opt),
             PrepKind::Selective(opt) => selective(program, opt),
-            PrepKind::Dynamic(opt) => selective_for(program, opt, AssistPolicy::Dynamic),
+            PrepKind::Dynamic(opt) => {
+                insert_markers(&optimize(program, opt), opt.threshold, AssistPolicy::Always)
+            }
         }
     }
 

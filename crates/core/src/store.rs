@@ -266,18 +266,21 @@ pub(crate) fn result_to_json(r: &SimResult) -> Json {
         pairs.push(("regions", Json::Arr(profile.regions().iter().map(region_to_json).collect())));
     }
     if let Some(s) = &r.sampled {
-        pairs.push((
-            "sampled",
-            Json::obj([
-                ("total_ops", Json::UInt(s.total_ops)),
-                ("intervals", Json::UInt(s.intervals as u64)),
-                ("representatives", Json::UInt(s.representatives as u64)),
-                ("detailed_ops", Json::UInt(s.detailed_ops)),
-                ("warmup_ops", Json::UInt(s.warmup_ops)),
-            ]),
-        ));
+        pairs.push(("sampled", sampled_to_json(s)));
     }
     Json::obj(pairs)
+}
+
+/// The wire encoding of a sampled run's coverage, as the store writes it
+/// and `selcached` echoes it.
+pub fn sampled_to_json(s: &SampledInfo) -> Json {
+    Json::obj([
+        ("total_ops", Json::UInt(s.total_ops)),
+        ("intervals", Json::UInt(s.intervals as u64)),
+        ("representatives", Json::UInt(s.representatives as u64)),
+        ("detailed_ops", Json::UInt(s.detailed_ops)),
+        ("warmup_ops", Json::UInt(s.warmup_ops)),
+    ])
 }
 
 pub(crate) fn result_from_json(j: &Json) -> Option<SimResult> {
@@ -418,7 +421,9 @@ fn mem_from_json(j: &Json) -> Option<HierarchyStats> {
     })
 }
 
-fn region_to_json(r: &RegionStats) -> Json {
+/// The wire encoding of one region's counters, as the store writes it and
+/// the `regions` binary prints it.
+pub fn region_to_json(r: &RegionStats) -> Json {
     Json::obj([
         ("label", Json::str(r.label.clone())),
         ("cycles", Json::UInt(r.cycles)),

@@ -22,12 +22,8 @@ use crate::plan::{GeneralRef, OpT, Plan, PlanNode, ROOT_OWNER};
 use crate::program::{AddressMap, Program, RefPattern, Trip};
 use crate::region::RegionMap;
 use crate::trace::{OpKind, TraceOp};
+use std::borrow::Cow;
 use std::collections::VecDeque;
-
-enum PlanHolder<'p> {
-    Owned(Box<Plan>),
-    Borrowed(&'p Plan),
-}
 
 #[derive(Debug, Clone)]
 enum Frame {
@@ -72,17 +68,6 @@ impl InterpCheckpoint {
     }
 }
 
-/// Resolves the plan reference without borrowing any other field of the
-/// interpreter (a method receiver would).
-macro_rules! plan {
-    ($self:expr) => {
-        match &$self.plan {
-            PlanHolder::Owned(p) => &**p,
-            PlanHolder::Borrowed(p) => *p,
-        }
-    };
-}
-
 /// Streaming trace generator over a borrowed [`Program`].
 ///
 /// ```
@@ -99,7 +84,7 @@ macro_rules! plan {
 /// ```
 pub struct Interp<'p> {
     program: &'p Program,
-    plan: PlanHolder<'p>,
+    plan: Cow<'p, Plan>,
     env: Vec<i64>,
     /// Current byte address of each affine slot; bumped by per-variable
     /// strides whenever a loop writes its induction variable.
@@ -118,24 +103,20 @@ pub struct Interp<'p> {
 impl<'p> Interp<'p> {
     /// Creates an interpreter with the program's default address map.
     pub fn new(program: &'p Program) -> Self {
-        Self::from_holder(program, PlanHolder::Owned(Box::new(Plan::compile(program))))
+        Self::from_plan(program, Cow::Owned(Plan::compile(program)))
     }
 
     /// Creates an interpreter over a pre-compiled [`Plan`], sharing one
-    /// compilation across sizing ([`Plan::trace_len`]) and streaming runs.
+    /// compilation across several runs of the same program.
     ///
     /// The plan must have been compiled from `program` in its current state.
     pub fn with_plan(program: &'p Program, plan: &'p Plan) -> Self {
-        Self::from_holder(program, PlanHolder::Borrowed(plan))
+        Self::from_plan(program, Cow::Borrowed(plan))
     }
 
-    fn from_holder(program: &'p Program, plan: PlanHolder<'p>) -> Self {
-        let p = match &plan {
-            PlanHolder::Owned(p) => &**p,
-            PlanHolder::Borrowed(p) => *p,
-        };
-        let slots = p.slot_init.clone();
-        let chase = vec![0; p.num_chase as usize];
+    fn from_plan(program: &'p Program, plan: Cow<'p, Plan>) -> Self {
+        let slots = plan.slot_init.clone();
+        let chase = vec![0; plan.num_chase as usize];
         Interp {
             program,
             plan,
@@ -220,7 +201,7 @@ impl<'p> Interp<'p> {
         if delta == 0 {
             return;
         }
-        let plan = plan!(self);
+        let plan = &*self.plan;
         for &(slot, coeff) in &plan.var_slots[var.index()] {
             self.slots[slot as usize] += delta * coeff;
         }
@@ -230,7 +211,7 @@ impl<'p> Interp<'p> {
     /// complete. Returns false when complete and nothing is pending.
     fn refill(&mut self) -> bool {
         while self.pending.is_empty() {
-            let plan = plan!(self);
+            let plan = &*self.plan;
             // Copy out what the next step needs so no frame borrow lives
             // across the emission calls below.
             let next: Option<u32> = match self.frames.last_mut() {
@@ -310,7 +291,7 @@ impl<'p> Interp<'p> {
             }
             _ => return,
         };
-        let (pc, var) = match &plan!(self).nodes[node as usize] {
+        let (pc, var) = match &self.plan.nodes[node as usize] {
             PlanNode::Loop { pc, var, .. } => (*pc, *var),
             _ => unreachable!("loop frame points at non-loop node"),
         };
@@ -783,8 +764,7 @@ mod tests {
         let shared: Vec<_> = Interp::with_plan(&p, &plan).collect();
         let owned: Vec<_> = Interp::new(&p).collect();
         assert_eq!(shared, owned);
-        // One compilation serves both sizing and a fresh streaming pass.
-        assert_eq!(plan.trace_len(&p), shared.len() as u64);
+        // One compilation serves a second, fresh streaming pass.
         assert_eq!(Interp::with_plan(&p, &plan).count(), shared.len());
     }
 }

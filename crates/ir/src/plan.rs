@@ -77,10 +77,10 @@ pub(crate) enum PlanNode {
 /// A compiled, reusable lowering of a [`Program`].
 ///
 /// Compile once with [`Plan::compile`] and share it across
-/// [`crate::Interp`] instances via [`crate::Interp::with_plan`] — e.g. to size a trace with
-/// [`Plan::trace_len`] and then stream it without paying a second program
-/// walk. A plan captures the program's arrays, layouts, and address map at
-/// compile time; recompile after mutating the program.
+/// [`crate::Interp`] instances via [`crate::Interp::with_plan`], so that
+/// streaming one program several times compiles it once. A plan captures
+/// the program's arrays, layouts, and address map at compile time;
+/// recompile after mutating the program.
 #[derive(Debug, Clone)]
 pub struct Plan {
     pub(crate) amap: AddressMap,
@@ -129,12 +129,6 @@ impl Plan {
             var_slots: c.var_slots,
             num_chase: c.chase_index.len() as u32,
         }
-    }
-
-    /// Total number of dynamic instructions the program emits under this
-    /// plan. Streams an interpreter over the shared plan — no rebuild.
-    pub fn trace_len(&self, program: &Program) -> u64 {
-        crate::interp::Interp::with_plan(program, self).count() as u64
     }
 }
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use selcache::compiler::{insert_markers, optimize, OptConfig};
+use selcache::compiler::{selective, OptConfig};
 use selcache::core::{AssistKind, Experiment, MachineConfig, Version};
 use selcache::ir::{pretty, AffineExpr, ProgramBuilder, Subscript};
 use selcache::workloads::data;
@@ -49,7 +49,7 @@ fn main() {
 
     // What the compiler makes of it.
     let opt = OptConfig::default();
-    let marked = insert_markers(&optimize(&program, &opt), opt.threshold);
+    let marked = selective(&program, &opt);
     println!("=== Compiled (optimized + ON/OFF markers) ===");
     print!("{}", pretty(&marked));
 

@@ -8,7 +8,7 @@
 //! ```
 
 use selcache::compiler::{
-    analyze_loop, detect_and_mark_with, eliminate_redundant_markers, AssistPolicy,
+    analyze_loop, detect_and_mark, eliminate_redundant_markers, AssistPolicy,
 };
 use selcache::ir::{pretty, AffineExpr, Item, ProgramBuilder, Subscript};
 
@@ -61,7 +61,7 @@ fn main() {
     }
 
     // Naive marking = Figure 2(b); elimination = Figure 2(c).
-    let naive = detect_and_mark_with(&program, 0.5, 0.0, AssistPolicy::IrregularRegions);
+    let naive = detect_and_mark(&program, 0.5, AssistPolicy::IrregularRegions);
     println!("\n=== After naive marking (Figure 2(b)): {} markers ===", naive.marker_count());
     print!("{}", pretty(&naive));
 

@@ -3,8 +3,7 @@
 //! must never alter the program's computational work.
 
 use selcache::compiler::{
-    detect_and_mark_with, optimize, region_partition, selective, AssistPolicy, OptConfig,
-    Preference, MIN_REGION_VOLUME,
+    detect_and_mark, optimize, region_partition, selective, AssistPolicy, OptConfig, Preference,
 };
 use selcache::ir::{AffineExpr, Interp, Item, Marker, OpKind, Program, ProgramBuilder, Subscript};
 use selcache::workloads::{Benchmark, Scale};
@@ -97,9 +96,9 @@ fn marker_sites(items: &[Item], next: &mut usize, out: &mut Vec<(usize, Marker)>
 }
 
 /// The region shapes no benchmark has at Tiny: a mixed loop with
-/// statements between its child nests, and a mixed loop whose child nests
-/// are too small to bracket, so it is one region.
-fn coarse_and_fine_mixed_loops() -> Program {
+/// statements between its child nests, and a mixed loop whose two child
+/// nests run only 4 iterations each.
+fn mixed_loop_shapes() -> Program {
     let mut b = ProgramBuilder::new("mixed-shapes");
     let a = b.array("A", &[512], 8);
     let x = b.array("X", &[512], 8);
@@ -142,24 +141,35 @@ fn coarse_and_fine_mixed_loops() -> Program {
 #[test]
 fn naive_markers_open_the_region_they_control() {
     let opt = OptConfig::default();
-    let shapes = coarse_and_fine_mixed_loops();
+    let shapes = mixed_loop_shapes();
     let labels = region_partition(&shapes, opt.threshold).labels().join(" ");
-    assert!(labels.contains("stmts:") && labels.contains(":mix-"), "{labels}");
+    assert!(labels.contains("stmts:"), "{labels}");
+    // However few iterations its children run, a mixed loop is control
+    // overhead, and each child is a region with a marker of its own.
+    assert!(labels.ends_with("L3:ctl L4:sw L5:hw"), "{labels}");
+    let naive = detect_and_mark(&shapes, opt.threshold, AssistPolicy::IrregularRegions);
+    let small = naive.items.last().and_then(Item::as_loop).expect("the 64-iteration loop");
+    assert_eq!(small.trip.max(), 64);
+    let body: Vec<_> = small
+        .body
+        .iter()
+        .map(|it| match it {
+            Item::Marker(m) => Some(*m),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(body, [Some(Marker::Off), None, Some(Marker::On), None]);
     let mut programs = vec![("mixed shapes".to_string(), shapes)];
     for bm in Benchmark::ALL {
         let raw = bm.build(Scale::Tiny);
         programs.push((format!("{bm} optimized"), optimize(&raw, &opt)));
         programs.push((format!("{bm} raw"), raw));
     }
-    let policies = [
-        AssistPolicy::IrregularRegions,
-        AssistPolicy::RegularRegions,
-        AssistPolicy::Always,
-        AssistPolicy::Dynamic,
-    ];
+    let policies =
+        [AssistPolicy::IrregularRegions, AssistPolicy::RegularRegions, AssistPolicy::Always];
     for (name, program) in &programs {
         for policy in policies {
-            let marked = detect_and_mark_with(program, opt.threshold, MIN_REGION_VOLUME, policy);
+            let marked = detect_and_mark(program, opt.threshold, policy);
             let map = region_partition(&marked, opt.threshold);
             let mut markers = Vec::new();
             marker_sites(&marked.items, &mut 0, &mut markers);
@@ -173,7 +183,7 @@ fn naive_markers_open_the_region_they_control() {
                     "{what}: region opens before its marker"
                 );
                 let label = map.label(region);
-                let pref = match label.rsplit(':').next().map(|t| t.trim_start_matches("mix-")) {
+                let pref = match label.rsplit(':').next() {
                     Some("hw") => Preference::Hardware,
                     Some("sw") => Preference::Software,
                     _ => panic!("{what}: region {label:?} has no hw/sw tag"),

@@ -3,7 +3,7 @@
 //! map, and marker insertion must produce non-redundant dynamic toggles.
 
 use proptest::prelude::*;
-use selcache::compiler::{insert_markers, optimize, OptConfig};
+use selcache::compiler::{insert_markers, optimize, AssistPolicy, OptConfig};
 use selcache::ir::{AffineExpr, Interp, OpKind, Program, ProgramBuilder, Subscript, VarId};
 
 /// Recipe for one random reference.
@@ -205,7 +205,7 @@ proptest! {
     #[test]
     fn marker_stream_never_redundant(recipe in arb_program()) {
         let p = build(&recipe);
-        let marked = insert_markers(&p, 0.5);
+        let marked = insert_markers(&p, 0.5, AssistPolicy::IrregularRegions);
         prop_assert!(marked.validate().is_ok());
         let mut state = false;
         for op in Interp::new(&marked) {
