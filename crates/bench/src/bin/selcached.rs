@@ -21,6 +21,9 @@
 //! selcached --socket /tmp/selcache.sock \
 //!   --once '{"op":"run","jobs":[{"benchmark":"vpenta","version":"selective"}]}'
 //! ```
+//!
+//! It exits 0 when the request was served, and 1 when the answer's last
+//! line reports `"ok":false` (still printed) or no answer could be had.
 
 #[cfg(unix)]
 fn main() {
@@ -92,11 +95,14 @@ mod unix {
         let socket = socket.unwrap_or_else(|| std::env::temp_dir().join("selcached.sock"));
 
         if let Some(line) = once {
-            if let Err(e) = service::request_once(&socket, &line, &mut std::io::stdout()) {
-                eprintln!("request to {} failed: {e}", socket.display());
-                std::process::exit(1);
+            match service::request_once(&socket, &line, &mut std::io::stdout()) {
+                Ok(true) => return,
+                Ok(false) => std::process::exit(1),
+                Err(e) => {
+                    eprintln!("request to {} failed: {e}", socket.display());
+                    std::process::exit(1);
+                }
             }
-            return;
         }
 
         let engine = Cli { threads, store, ..Cli::default() }.engine();

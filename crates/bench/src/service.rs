@@ -564,7 +564,11 @@ fn job_from_json(spec: &Json) -> Result<SimJob, String> {
 /// write half, and stream every response line into `out` until the server
 /// hangs up. This is `selcached --once` (and what the integration tests
 /// drive).
-pub fn request_once(path: &Path, line: &str, out: &mut impl Write) -> io::Result<()> {
+///
+/// Returns whether the request was served: false when the answer's last
+/// line reports `"ok":false` (a malformed or refused request), so a caller
+/// can tell the two apart without parsing the answer itself.
+pub fn request_once(path: &Path, line: &str, out: &mut impl Write) -> io::Result<bool> {
     let mut stream = UnixStream::connect(path)?;
     let sent = stream
         .write_all(format!("{}\n", line.trim()).as_bytes())
@@ -579,7 +583,13 @@ pub fn request_once(path: &Path, line: &str, out: &mut impl Write) -> io::Result
         sent?;
         read?;
     }
-    out.write_all(&response)
+    out.write_all(&response)?;
+    let text = String::from_utf8_lossy(&response);
+    let last = text.lines().rev().find(|l| !l.trim().is_empty());
+    let failed = last
+        .and_then(|l| Json::parse(l).ok())
+        .is_some_and(|j| matches!(j.get("ok"), Some(Json::Bool(false))));
+    Ok(!failed)
 }
 
 #[cfg(test)]

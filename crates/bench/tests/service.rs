@@ -1,7 +1,8 @@
 //! In-process integration test of the `selcached` service: a server on a
 //! temp socket, concurrent clients with overlapping job sets, cross-client
 //! dedup through the shared store, clients that drop mid-stream, the cap on
-//! open connections, and graceful shutdown.
+//! open connections, the `--once` client's exit status, and graceful
+//! shutdown.
 #![cfg(unix)]
 
 use selcache_bench::service::{self, Server};
@@ -10,6 +11,7 @@ use selcache_core::{JobEngine, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -296,6 +298,47 @@ fn store_maintenance_ops_error_without_a_store() {
         let msg = lines[0].get("message").and_then(Json::as_str).unwrap_or("");
         assert!(msg.contains("no store"), "{msg}");
     }
+
+    let bye = request(&sock, r#"{"op":"shutdown"}"#);
+    assert_eq!(kind(&bye[0]), "bye");
+    server_thread.join().expect("server thread");
+    service::reset_shutdown();
+}
+
+/// `selcached --once`, the built binary, exits by the answer: 0 for a
+/// served request, 1 for an `"ok":false` line, which it still prints.
+#[test]
+fn once_client_exit_status_follows_the_answer() {
+    let _guard = SERVER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    service::reset_shutdown();
+    let root = TempRoot::new("once");
+    let sock = root.0.join("once.sock");
+    let server = Server::bind(&sock, JobEngine::new(1)).expect("bind");
+    let server_thread = std::thread::spawn(move || server.run().expect("server run"));
+    await_server(&sock);
+
+    let once = |line: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_selcached"))
+            .arg("--socket")
+            .arg(&sock)
+            .arg("--once")
+            .arg(line)
+            .output()
+            .expect("run selcached --once");
+        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+        let answer = Json::parse(stdout.trim())
+            .unwrap_or_else(|e| panic!("one answer line on stdout, got {stdout:?}: {e}"));
+        (out.status.code(), answer)
+    };
+    let (status, answer) = once(r#"{"op":"ping"}"#);
+    assert_eq!(status, Some(0), "{answer}");
+    assert_eq!(kind(&answer), "pong");
+    let (status, answer) = once(r#"{"op":"frobnicate"}"#);
+    assert_eq!(status, Some(1), "{answer}");
+    assert_eq!(kind(&answer), "error");
+    assert_eq!(answer.get("ok"), Some(&Json::Bool(false)));
+    let msg = answer.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(msg.contains("unknown op"), "{msg}");
 
     let bye = request(&sock, r#"{"op":"shutdown"}"#);
     assert_eq!(kind(&bye[0]), "bye");

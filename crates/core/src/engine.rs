@@ -19,6 +19,8 @@
 //!    the next unstarted job, so long simulations never serialize behind
 //!    short ones). Sampled jobs fan their representative intervals out
 //!    over the *same* budget — one global thread cap covers both levels.
+//!    Jobs start in profile-pass order: the first sampled job of each
+//!    prepared program before any job that would wait on its pass.
 //!    `threads == 1` runs inline with no pool at all.
 //! 4. **Reassemble deterministically.** Results come back in submission
 //!    order. Every simulation is itself deterministic, so output is
@@ -233,23 +235,6 @@ impl ProgramKey {
     fn threshold(&self) -> f64 {
         self.prep.parts().1.map_or(OptConfig::default().threshold, |opt| opt.threshold)
     }
-
-    /// Process-wide selection-cache key for a sampled run: a stable hash of
-    /// the prepared-program identity plus the interval geometry. Everything
-    /// that executes the same prepared program with the same interval size
-    /// and representative budget shares one profile pass and one checkpoint
-    /// set — warmup length is deliberately excluded (it only affects pass
-    /// 2).
-    fn selection_key(&self, interval_ops: u64, max_intervals: usize) -> u128 {
-        let mut w = CanonWriter::new();
-        // Domain-separate from job ids so a selection key can never alias a
-        // store address.
-        w.str("selection-key");
-        self.canon(&mut w);
-        w.u64(interval_ops);
-        w.usize(max_intervals);
-        JobId::of_bytes(&w.finish()).as_u128()
-    }
 }
 
 impl Canon for ProgramKey {
@@ -283,6 +268,27 @@ impl ExecKey {
             assist_enabled: job.version.initially_enabled(),
             mode: job.mode,
         }
+    }
+
+    /// Process-wide selection-cache key of a sampled run's profile pass: a
+    /// stable hash of the prepared-program identity plus the interval
+    /// geometry. Everything that executes the same prepared program with
+    /// the same interval size and representative budget shares one profile
+    /// pass and one checkpoint set — warmup length is deliberately excluded
+    /// (it only affects pass 2). `None` for an exact run, which has no
+    /// profile pass.
+    fn selection_key(&self) -> Option<u128> {
+        let SimMode::Sampled { interval_ops, max_intervals, .. } = self.mode else {
+            return None;
+        };
+        let mut w = CanonWriter::new();
+        // Domain-separate from job ids so a selection key can never alias a
+        // store address.
+        w.str("selection-key");
+        self.program.canon(&mut w);
+        w.u64(interval_ops);
+        w.usize(max_intervals);
+        Some(JobId::of_bytes(&w.finish()).as_u128())
     }
 
     /// The key's canonical byte serialization: a schema-tagged, injective
@@ -329,8 +335,9 @@ impl ExecKey {
 ///
 /// [`NullProbe`]: selcache_mem::NullProbe
 ///
-/// `program_key` names the prepared program for the process-wide
-/// selection cache; ad-hoc programs pass `None` and profile afresh.
+/// `selection_key` names a sampled run's profile pass in the process-wide
+/// selection cache ([`ExecKey::selection_key`]); ad-hoc programs pass
+/// `None` and profile afresh.
 ///
 /// [`Experiment::run_program`]: crate::Experiment::run_program
 #[allow(clippy::too_many_arguments)]
@@ -342,7 +349,7 @@ pub(crate) fn simulate_job(
     mode: SimMode,
     profiled: bool,
     threshold: f64,
-    program_key: Option<&ProgramKey>,
+    selection_key: Option<u128>,
     executor: &Executor,
 ) -> SimResult {
     match mode {
@@ -354,7 +361,7 @@ pub(crate) fn simulate_job(
             interval_ops,
             max_intervals,
             warmup,
-            program_key.map(|key| key.selection_key(interval_ops, max_intervals)),
+            selection_key,
             executor,
         ),
         SimMode::Exact if profiled || machine.mem.controller.is_some() => {
@@ -426,6 +433,30 @@ impl ExecPlan {
             .collect();
         ExecPlan { unique, slot, identities, ids, prog_keys, prog_of }
     }
+}
+
+/// The order in which to start store-missing jobs, as indices into
+/// `keys`: each job's [`ExecKey::selection_key`]. A job's rank counts the
+/// earlier jobs that share its profile pass; exact jobs all rank 0. A
+/// stable sort by rank keeps submission order within a rank, so the first
+/// wave starts one profile pass per program, and each later job finds its
+/// selection cached instead of blocking on a sibling's pass.
+fn profile_pass_order(keys: &[Option<u128>]) -> Vec<usize> {
+    let mut seen: HashMap<u128, usize> = HashMap::new();
+    let rank: Vec<usize> = keys
+        .iter()
+        .map(|key| match key {
+            Some(key) => {
+                let earlier = seen.entry(*key).or_insert(0);
+                *earlier += 1;
+                *earlier - 1
+            }
+            None => 0,
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..keys.len()).collect();
+    order.sort_by_key(|&i| rank[i]);
+    order
 }
 
 /// Counters describing what one [`JobEngine::run_with_stats`] call did.
@@ -627,7 +658,13 @@ impl JobEngine {
         // every simulation for the store's envelope metadata. Sampled jobs
         // receive the engine's executor so their per-representative
         // fan-out leases from the same budget as the job-level fan-out.
-        let simulated = self.executor.map(&needed, |&k| {
+        // The first wave starts one profile pass per program (see
+        // `profile_pass_order`); results land by identity, so the order
+        // never shows in the output.
+        let keys: Vec<Option<u128>> = needed.iter().map(|&k| unique[k].selection_key()).collect();
+        let order = profile_pass_order(&keys);
+        let simulated = self.executor.map(&order, |&i| {
+            let k = needed[i];
             let key = &unique[k];
             let start = Instant::now();
             let result = simulate_job(
@@ -638,7 +675,7 @@ impl JobEngine {
                 key.mode,
                 profiled,
                 key.program.threshold(),
-                Some(&key.program),
+                keys[i],
                 &self.executor,
             );
             (result, start.elapsed().as_secs_f64() * 1e3)
@@ -650,7 +687,8 @@ impl JobEngine {
         let executed = needed.len();
         let mut bytes_written = 0u64;
         let mut per_unique = cached;
-        for (&k, (mut result, wall_ms)) in needed.iter().zip(simulated) {
+        for (&i, (mut result, wall_ms)) in order.iter().zip(simulated) {
+            let k = needed[i];
             if let Some(store) = &self.store {
                 if let Ok(bytes) = store.put(ids[k], &identities[k], &result, wall_ms) {
                     bytes_written += bytes;
@@ -695,6 +733,7 @@ impl Default for JobEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SuiteResult;
 
     fn suite_jobs(assist: AssistKind) -> Vec<SimJob> {
         let machine = MachineConfig::base();
@@ -860,6 +899,83 @@ mod tests {
             assert_eq!(p.cycles, q.cycles, "profiling must not perturb dynamic results");
             assert!(q.regions.is_some());
         }
+    }
+
+    /// Checks `profile_pass_order(keys)` against its definition: a
+    /// permutation of the jobs, ranks never decreasing, and submission
+    /// order within a rank (so exact jobs, all rank 0, keep theirs).
+    fn check_profile_pass_order(keys: &[Option<u128>]) -> Vec<usize> {
+        let rank: Vec<usize> = (0..keys.len())
+            .map(|i| match keys[i] {
+                Some(key) => keys[..i].iter().filter(|&&k| k == Some(key)).count(),
+                None => 0,
+            })
+            .collect();
+        let order = profile_pass_order(keys);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..keys.len()).collect::<Vec<_>>(), "a permutation");
+        for w in order.windows(2) {
+            assert!(rank[w[0]] <= rank[w[1]], "ranks never decrease: {order:?}");
+            if rank[w[0]] == rank[w[1]] {
+                assert!(w[0] < w[1], "submission order within a rank: {order:?}");
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn profile_pass_order_starts_one_pass_per_program_first() {
+        // Pairs of sampled jobs on one program (keys 1..=3, as a suite's
+        // Base/PureHardware pairs), a lone program, and exact jobs.
+        let (a, b, c, d) = (Some(1), Some(2), Some(3), Some(4));
+        let order = check_profile_pass_order(&[a, a, None, b, b, c, None, c, a, d]);
+        assert_eq!(order, [0, 2, 3, 5, 6, 9, 1, 4, 7, 8]);
+        // Exact jobs only, as in suite_exact and service_mixed: today's order.
+        assert_eq!(check_profile_pass_order(&[None; 5]), [0, 1, 2, 3, 4]);
+        // Sampled jobs on distinct programs keep their order too.
+        assert_eq!(check_profile_pass_order(&[d, c, b, a]), [0, 1, 2, 3]);
+        assert!(check_profile_pass_order(&[]).is_empty());
+        // A long set with many ties, past the lengths a sort handles by
+        // insertion: every fifth job exact, the rest on 13 programs.
+        let keys: Vec<Option<u128>> =
+            (0..300u128).map(|i| (i % 5 != 0).then_some(i * 7919 % 13)).collect();
+        check_profile_pass_order(&keys);
+    }
+
+    #[test]
+    fn sampled_jobs_start_in_profile_pass_order() {
+        // The perfbench/fig4 shape: Base/PureHardware and
+        // PureSoftware/Combined share a prepared program.
+        let jobs = SuiteResult::jobs_in_mode(
+            &MachineConfig::base(),
+            AssistKind::Bypass,
+            Scale::Tiny,
+            &[Benchmark::Vpenta, Benchmark::Chaos],
+            SimMode::sampled(),
+        );
+        let keys: Vec<Option<u128>> = jobs.iter().map(|j| ExecKey::of(j).selection_key()).collect();
+        let versions: Vec<(Benchmark, Version)> = profile_pass_order(&keys)
+            .into_iter()
+            .map(|i| (jobs[i].benchmark, jobs[i].version))
+            .collect();
+        use Benchmark::{Chaos, Vpenta};
+        use Version::{Base, Combined, PureHardware, PureSoftware, Selective};
+        let expected = [
+            (Vpenta, Base),
+            (Vpenta, PureSoftware),
+            (Vpenta, Selective),
+            (Chaos, Base),
+            (Chaos, PureSoftware),
+            (Chaos, Selective),
+            (Vpenta, PureHardware),
+            (Vpenta, Combined),
+            (Chaos, PureHardware),
+            (Chaos, Combined),
+        ];
+        assert_eq!(versions, expected);
+        // Exact jobs have no profile pass.
+        assert_eq!(ExecKey::of(&jobs[0].clone().with_mode(SimMode::Exact)).selection_key(), None);
     }
 
     #[test]

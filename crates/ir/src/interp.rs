@@ -23,7 +23,6 @@ use crate::program::{AddressMap, Program, RefPattern, Trip};
 use crate::region::RegionMap;
 use crate::trace::{OpKind, TraceOp};
 use std::borrow::Cow;
-use std::collections::VecDeque;
 
 #[derive(Debug, Clone)]
 enum Frame {
@@ -56,7 +55,8 @@ pub struct InterpCheckpoint {
     slots: Vec<i64>,
     chase: Vec<i64>,
     frames: Vec<Frame>,
-    pending: VecDeque<TraceOp>,
+    /// The generated ops not yet yielded.
+    pending: Vec<TraceOp>,
     emitted: u64,
 }
 
@@ -93,7 +93,10 @@ pub struct Interp<'p> {
     /// persists across statements, modelling a walk over a linked structure.
     chase: Vec<i64>,
     frames: Vec<Frame>,
-    pending: VecDeque<TraceOp>,
+    /// Ops generated but not yet yielded: `pending[head..]`. Refilled only
+    /// once drained, so it holds one statement's (or latch's) ops.
+    pending: Vec<TraceOp>,
+    head: usize,
     /// Reusable buffer for resolution-load addresses.
     scratch: Vec<Addr>,
     emitted: u64,
@@ -124,7 +127,8 @@ impl<'p> Interp<'p> {
             slots,
             chase,
             frames: vec![Frame::Items { owner: ROOT_OWNER, pos: 0 }],
-            pending: VecDeque::with_capacity(64),
+            pending: Vec::with_capacity(64),
+            head: 0,
             scratch: Vec::new(),
             emitted: 0,
             regions: None,
@@ -151,7 +155,7 @@ impl<'p> Interp<'p> {
             slots: self.slots.clone(),
             chase: self.chase.clone(),
             frames: self.frames.clone(),
-            pending: self.pending.clone(),
+            pending: self.pending[self.head..].to_vec(),
             emitted: self.emitted,
         }
     }
@@ -166,6 +170,7 @@ impl<'p> Interp<'p> {
         self.chase.clone_from(&ck.chase);
         self.frames.clone_from(&ck.frames);
         self.pending.clone_from(&ck.pending);
+        self.head = 0;
         self.emitted = ck.emitted;
     }
 
@@ -207,9 +212,12 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Advances the tree walk until at least one op is pending or the walk is
-    /// complete. Returns false when complete and nothing is pending.
+    /// Called once every pending op has been read: advances the tree walk
+    /// until at least one op is pending or the walk is complete. Returns
+    /// false when complete and nothing is pending.
     fn refill(&mut self) -> bool {
+        self.pending.clear();
+        self.head = 0;
         while self.pending.is_empty() {
             let plan = &*self.plan;
             // Copy out what the next step needs so no frame borrow lives
@@ -255,7 +263,7 @@ impl<'p> Interp<'p> {
                     ),
                     PlanNode::Marker { pc, on } => {
                         let kind = if *on { OpKind::AssistOn } else { OpKind::AssistOff };
-                        self.pending.push_back(TraceOp::new(*pc, kind));
+                        self.pending.push(TraceOp::new(*pc, kind));
                     }
                     PlanNode::Loop { pc, var, trip, .. } => {
                         let (pc, var, trip) = (*pc, *var, *trip);
@@ -270,10 +278,10 @@ impl<'p> Interp<'p> {
     fn enter_loop(&mut self, node: u32, pc: u64, var: VarId, trip_spec: Trip) {
         let trip = trip_spec.eval(&self.env);
         // Index initialization.
-        self.pending.push_back(TraceOp::new(pc, OpKind::IntAlu));
+        self.pending.push(TraceOp::new(pc, OpKind::IntAlu));
         if trip <= 0 {
             // Loop test fails immediately: one not-taken branch.
-            self.pending.push_back(TraceOp::with_dep(pc + 8, OpKind::Branch { taken: false }, 1));
+            self.pending.push(TraceOp::with_dep(pc + 8, OpKind::Branch { taken: false }, 1));
             return;
         }
         self.set_var(var, 0);
@@ -296,8 +304,8 @@ impl<'p> Interp<'p> {
             _ => unreachable!("loop frame points at non-loop node"),
         };
         // Index increment + backward branch.
-        self.pending.push_back(TraceOp::new(pc + 4, OpKind::IntAlu));
-        self.pending.push_back(TraceOp::with_dep(pc + 8, OpKind::Branch { taken }, 1));
+        self.pending.push(TraceOp::new(pc + 4, OpKind::IntAlu));
+        self.pending.push(TraceOp::with_dep(pc + 8, OpKind::Branch { taken }, 1));
         if taken {
             self.set_var(var, new_iter);
             self.frames.push(Frame::Items { owner: node, pos: 0 });
@@ -319,19 +327,19 @@ fn exec_stmt(
     slots: &[i64],
     chase: &mut [i64],
     scratch: &mut Vec<Addr>,
-    pending: &mut VecDeque<TraceOp>,
+    pending: &mut Vec<TraceOp>,
     ops: &[OpT],
 ) {
     for op in ops {
         match *op {
-            OpT::Plain { pc, kind, dep } => pending.push_back(TraceOp::with_dep(pc, kind, dep)),
+            OpT::Plain { pc, kind, dep } => pending.push(TraceOp::with_dep(pc, kind, dep)),
             OpT::LoadSlot { pc, dep, slot } => {
                 let addr = Addr(slots[slot as usize] as u64);
-                pending.push_back(TraceOp::with_dep(pc, OpKind::Load(addr), dep));
+                pending.push(TraceOp::with_dep(pc, OpKind::Load(addr), dep));
             }
             OpT::StoreSlot { pc, dep, slot } => {
                 let addr = Addr(slots[slot as usize] as u64);
-                pending.push_back(TraceOp::with_dep(pc, OpKind::Store(addr), dep));
+                pending.push(TraceOp::with_dep(pc, OpKind::Store(addr), dep));
             }
             OpT::General(gi) => {
                 let g = &plan.generals[gi as usize];
@@ -340,17 +348,17 @@ fn exec_stmt(
                 let n = scratch.len();
                 if g.write {
                     for (i, &ra) in scratch.iter().enumerate() {
-                        pending.push_back(TraceOp::new(g.pcs[i], OpKind::Load(ra)));
+                        pending.push(TraceOp::new(g.pcs[i], OpKind::Load(ra)));
                     }
                     let dep = if n == 0 { g.bare_dep } else { 1 };
-                    pending.push_back(TraceOp::with_dep(g.pcs[n], OpKind::Store(addr), dep));
+                    pending.push(TraceOp::with_dep(g.pcs[n], OpKind::Store(addr), dep));
                 } else {
                     let mut dep = 0u16;
                     for (i, &ra) in scratch.iter().enumerate() {
-                        pending.push_back(TraceOp::with_dep(g.pcs[i], OpKind::Load(ra), dep));
+                        pending.push(TraceOp::with_dep(g.pcs[i], OpKind::Load(ra), dep));
                         dep = 1; // the next access depends on this resolution load
                     }
-                    pending.push_back(TraceOp::with_dep(g.pcs[n], OpKind::Load(addr), dep));
+                    pending.push(TraceOp::with_dep(g.pcs[n], OpKind::Load(addr), dep));
                 }
             }
         }
@@ -372,11 +380,18 @@ fn resolve_general(
         RefPattern::Scalar(s) => amap.scalar_addr(*s),
         RefPattern::Array { array, subscripts } => {
             let decl = &program.arrays[array.index()];
-            let mut coords = Vec::with_capacity(subscripts.len());
+            // `ArrayDecl::linearize` in place: each coordinate is clamped
+            // into its extent and scaled by its stride. A subscript beyond
+            // the dimension count still resolves (its index load is
+            // real) but does not move the address; a missing one is 0.
+            let mut dims = decl.dims.iter().zip(&*g.strides);
+            let mut off = 0i64;
             for s in subscripts {
-                coords.push(eval_subscript(program, amap, env, s, resolution));
+                let c = eval_subscript(program, amap, env, s, resolution);
+                if let Some((&extent, &stride)) = dims.next() {
+                    off += c.rem_euclid(extent) * stride;
+                }
             }
-            let off = decl.linearize(&coords);
             amap.array_base(*array).offset(off as u64 * decl.elem_size)
         }
         RefPattern::Pointer { heap, next, field_offset } => {
@@ -442,15 +457,16 @@ impl Iterator for Interp<'_> {
     type Item = TraceOp;
 
     // `#[inline]`: every simulation pass calls this once per dynamic op
-    // from other crates; the fast path (pop from the pending buffer) is a
+    // from other crates; the fast path (read the next pending op) is a
     // handful of instructions and must not pay a cross-crate call.
     #[inline]
     fn next(&mut self) -> Option<TraceOp> {
-        if self.pending.is_empty() && !self.refill() {
+        if self.head == self.pending.len() && !self.refill() {
             return None;
         }
         self.emitted += 1;
-        let mut op = self.pending.pop_front()?;
+        let mut op = self.pending[self.head];
+        self.head += 1;
         if let Some(map) = self.regions {
             op.region = map.region_of_pc(op.pc);
         }

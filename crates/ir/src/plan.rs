@@ -19,11 +19,13 @@
 //! References the fold cannot prove safe (non-affine or possibly
 //! out-of-bounds subscripts, indexed gathers, pointer chases, struct fields)
 //! keep the original general resolution path, so emitted traces are
-//! bit-identical to the tree-walking interpreter.
+//! bit-identical to the tree-walking interpreter. An array reference on that
+//! path carries its per-dimension element strides, so the interpreter
+//! linearizes its clamped coordinates in place.
 
 use crate::expr::Subscript;
 use crate::ids::{ArrayId, VarId};
-use crate::program::{AddressMap, Item, Marker, Program, Ref, RefPattern, Stmt, Trip};
+use crate::program::{AddressMap, ArrayDecl, Item, Marker, Program, Ref, RefPattern, Stmt, Trip};
 use crate::trace::{OpKind, SITE_BYTES, TEXT_BASE};
 use std::collections::HashMap;
 
@@ -52,6 +54,10 @@ pub(crate) enum OpT {
 pub(crate) struct GeneralRef {
     /// The reference pattern, cloned out of the program.
     pub pattern: RefPattern,
+    /// For an array reference, the element stride of each source
+    /// dimension under the array's layout ([`elem_strides`]); empty for
+    /// the other patterns.
+    pub strides: Box<[i64]>,
     /// True for a store.
     pub write: bool,
     /// PCs of each resolution load followed by the final access.
@@ -251,8 +257,15 @@ impl Compiler<'_> {
             }
             _ => NO_CHASE,
         };
+        let strides = match &r.pattern {
+            RefPattern::Array { array, .. } => {
+                self.program.arrays.get(array.index()).map(elem_strides).unwrap_or_default()
+            }
+            _ => Vec::new(),
+        };
         self.generals.push(GeneralRef {
             pattern: r.pattern.clone(),
+            strides: strides.into_boxed_slice(),
             write: r.write,
             pcs: pcs.into_boxed_slice(),
             bare_dep,
@@ -294,14 +307,7 @@ impl Compiler<'_> {
                         return None;
                     }
                 }
-                // Element stride of each source dimension under the layout.
-                let order = decl.layout.order(decl.dims.len());
-                let mut strides = vec![0i64; decl.dims.len()];
-                let mut mult = 1i64;
-                for &src in order.iter().rev() {
-                    strides[src] = mult;
-                    mult *= decl.dims[src];
-                }
+                let strides = elem_strides(decl);
                 let elem = decl.elem_size as i64;
                 let mut init = self.amap.array_base(*array).0 as i64;
                 let mut coeffs: Vec<(u32, i64)> = Vec::new();
@@ -343,6 +349,21 @@ impl Compiler<'_> {
         self.slot_index.insert((init, coeffs), slot);
         slot
     }
+}
+
+/// Element stride of each source dimension of `decl` under its layout: an
+/// in-bounds coordinate vector `c` lies `Σ c[k] * strides[k]` elements
+/// from the array's base, the offset [`ArrayDecl::linearize`] computes.
+/// A layout that lists a dimension twice adds both strides, as
+/// `linearize`'s Horner loop does.
+fn elem_strides(decl: &ArrayDecl) -> Vec<i64> {
+    let mut strides = vec![0i64; decl.dims.len()];
+    let mut mult = 1i64;
+    for &src in decl.layout.order(decl.dims.len()).iter().rev() {
+        strides[src] += mult;
+        mult *= decl.dims[src];
+    }
+    strides
 }
 
 /// Number of resolution loads a pattern emits before its final access.

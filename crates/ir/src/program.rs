@@ -85,6 +85,11 @@ impl ArrayDecl {
     /// Linearizes a subscript vector (element coordinates) into an element
     /// offset under the current layout. Coordinates are clamped into bounds
     /// so that synthetic non-affine subscripts cannot escape the array.
+    ///
+    /// The reference definition of array addressing: the interpreter
+    /// computes the same offset in place from strides its plan
+    /// precomputes, and the addressing property test in
+    /// `crates/ir/tests/` holds it to this function.
     pub fn linearize(&self, coords: &[i64]) -> i64 {
         let order = self.layout.order(self.dims.len());
         let mut off = 0i64;

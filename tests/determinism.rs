@@ -126,6 +126,40 @@ fn sampled_json_is_thread_count_invariant() {
     }
 }
 
+/// Sampled jobs that share prepared programs: Chaos's five versions run
+/// three programs (Base/PureHardware raw, PureSoftware/Combined
+/// optimized, Selective marked), so the engine starts them in
+/// profile-pass order and the pairs' second jobs read the selection cache.
+/// Chaos's gathers and pointer chases take the interpreter's general
+/// reference path. The first run is the cold one, at 2 threads, so the
+/// profile passes themselves run under the parallel schedule; its JSON
+/// must equal the runs at 1 and 8 threads.
+#[test]
+fn sampled_jobs_sharing_programs_are_thread_count_invariant() {
+    let machine = MachineConfig::base();
+    let mode = SimMode::Sampled { interval_ops: 4096, max_intervals: 4, warmup: 1024 };
+    let jobs: Vec<SimJob> = std::iter::once(Version::Base)
+        .chain(Version::REPORTED)
+        .map(|v| {
+            SimJob::new(Benchmark::Chaos, Scale::Small, machine.clone(), AssistKind::Bypass, v)
+                .with_mode(mode)
+        })
+        .collect();
+    let plan = JobEngine::new(1).dry_run(&jobs);
+    assert_eq!((plan.executed, plan.programs_prepared), (5, 3), "pairs share programs");
+
+    let cold = JobEngine::new(2).run(&jobs);
+    assert!(
+        cold.iter().all(|r| r.sampled.expect("sampled info").representatives > 1),
+        "geometry must yield real fan-out work"
+    );
+    let reference_json = sampled_json(&cold);
+    for threads in [1, 8] {
+        let json = sampled_json(&JobEngine::new(threads).run(&jobs));
+        assert_eq!(json, reference_json, "threads = {threads}");
+    }
+}
+
 /// The analytical sweep profiles each (program version, line size) on the
 /// engine's executor: points, cross-checks and work accounting are the
 /// same for thread budgets 1, 2 and 8, and four estimates are pinned bit
