@@ -17,22 +17,23 @@
 //! clock jumps to the earliest cycle at which commit, issue or fetch can act,
 //! and the span in between reaches the probe as counts. Issue considers only
 //! ops whose operand is complete: each dispatched op is ready, or waits on
-//! its producer's list until the producer's completion cycle.
+//! its producer's list until the producer's completion cycle, which a
+//! cycle wheel announces.
 
 use crate::config::{CpuConfig, CpuModel};
 use crate::predictor::Bimodal;
 use crate::stats::{CpuStats, CpuStatsProbe};
 use selcache_ir::{OpKind, RegionId, TraceOp};
 use selcache_mem::{MemoryHierarchy, NullProbe, Probe, Site};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
-/// End of a waiter list.
+/// End of a waiter or wakeup list.
 const NO_OP: u64 = u64::MAX;
+
+/// Buckets of the wakeup wheel: one per cycle of the next 1024.
+const WHEEL: usize = 1024;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    seq: u64,
     pc: u64,
     region: RegionId,
     kind: OpKind,
@@ -44,7 +45,22 @@ struct Slot {
     waiters: u64,
     /// Next op waiting on the same producer as this one.
     next_waiter: u64,
+    /// Next producer in this op's wakeup-wheel bucket.
+    next_wake: u64,
 }
+
+/// The contents of a ring slot no op has used yet.
+const FREE_SLOT: Slot = Slot {
+    pc: 0,
+    region: RegionId::NONE,
+    kind: OpKind::IntAlu,
+    issued: false,
+    ready_at: 0,
+    is_mem: false,
+    waiters: NO_OP,
+    next_waiter: NO_OP,
+    next_wake: NO_OP,
+};
 
 /// Ready-list record: an unissued op whose operand is complete.
 #[derive(Debug, Clone, Copy)]
@@ -96,15 +112,27 @@ pub struct Pipeline {
     cfg: CpuConfig,
     predictor: Bimodal,
     stats: CpuStatsProbe,
-    ruu: VecDeque<Slot>,
+    /// The RUU as a ring of `ruu_entries.next_power_of_two()` slots: op
+    /// `seq` lives at `seq & ruu_mask`, and the ops in flight are
+    /// `front..seq`.
+    ruu: Box<[Slot]>,
+    ruu_mask: u64,
+    /// Sequence number of the oldest op in flight (`seq` when none is).
+    front: u64,
     lsq_used: u32,
     /// The unissued ops whose operand is complete, in sequence order: the
     /// issue stage's only candidates, in the order a front-to-back RUU scan
     /// would meet them.
     ready: Vec<ReadyEntry>,
-    /// Issued producers with waiters, keyed by completion cycle: at that
-    /// cycle their waiters join [`Pipeline::ready`].
-    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Issued producers with waiters, by completion cycle: at that cycle
+    /// their waiters join [`Pipeline::ready`]. Bucket `c % WHEEL` lists,
+    /// through [`Slot::next_wake`], the producers completing at cycle `c`
+    /// of the next [`WHEEL`]; `wheel_bits` marks the non-empty buckets.
+    wheel: Box<[u64]>,
+    wheel_bits: [u64; WHEEL / 64],
+    /// `(cycle, producer)` wakeups [`WHEEL`] or more cycles ahead when
+    /// scheduled.
+    late: Vec<(u64, u64)>,
     /// The op after the last one issued. Under the in-order model this is
     /// the oldest unissued op: in-order issue keeps the unissued ops a
     /// contiguous run ending at the youngest.
@@ -152,13 +180,18 @@ impl Pipeline {
         ] {
             assert!(n > 0, "CpuConfig::{field} must be at least 1");
         }
+        let ring = cfg.ruu_entries.next_power_of_two() as usize;
         Pipeline {
             predictor: Bimodal::new(cfg.predictor_entries),
             stats: CpuStatsProbe::default(),
-            ruu: VecDeque::with_capacity(cfg.ruu_entries as usize),
+            ruu: vec![FREE_SLOT; ring].into_boxed_slice(),
+            ruu_mask: ring as u64 - 1,
+            front: 0,
             lsq_used: 0,
             ready: Vec::with_capacity(cfg.ruu_entries as usize),
-            wakeups: BinaryHeap::with_capacity(cfg.ruu_entries as usize),
+            wheel: vec![NO_OP; WHEEL].into_boxed_slice(),
+            wheel_bits: [0; WHEEL / 64],
+            late: Vec::new(),
             next_in_order: 0,
             fetch_shift: if cfg.fetch_block.is_power_of_two() {
                 cfg.fetch_block.trailing_zeros()
@@ -228,8 +261,8 @@ impl Pipeline {
         // probe can fan out through one tuple while `self` stays mutable.
         let mut default_probe = std::mem::take(&mut self.stats);
         let mut fan = (&mut default_probe, probe);
-        while !(self.done_fetching && self.ruu.is_empty() && self.staged.is_none()) {
-            if let Some(front) = self.ruu.front() {
+        while !(self.done_fetching && self.in_flight() == 0 && self.staged.is_none()) {
+            if let Some(front) = self.oldest() {
                 self.cur_region = front.region;
             }
             fan.cycles(self.cur_region, 1);
@@ -250,25 +283,91 @@ impl Pipeline {
         &self.stats.stats
     }
 
-    /// Moves the waiters of every producer completing by this cycle into
+    /// Number of ops in the RUU.
+    fn in_flight(&self) -> u64 {
+        self.seq - self.front
+    }
+
+    /// The oldest op in the RUU.
+    fn oldest(&self) -> Option<&Slot> {
+        (self.in_flight() > 0).then(|| &self.ruu[(self.front & self.ruu_mask) as usize])
+    }
+
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        &mut self.ruu[(seq & self.ruu_mask) as usize]
+    }
+
+    /// Enters issued `producer` for a wakeup at cycle `at`, later than now.
+    fn schedule_wakeup(&mut self, at: u64, producer: u64) {
+        if at - self.cycle >= WHEEL as u64 {
+            self.late.push((at, producer));
+            return;
+        }
+        let b = at as usize % WHEEL;
+        let head = std::mem::replace(&mut self.wheel[b], producer);
+        self.slot_mut(producer).next_wake = head;
+        self.wheel_bits[b / 64] |= 1 << (b % 64);
+    }
+
+    /// The cycle of the next wakeup ([`u64::MAX`] when none is scheduled).
+    fn next_wakeup(&self) -> u64 {
+        let late = self.late.iter().map(|&(at, _)| at).min().unwrap_or(u64::MAX);
+        // Every wheel entry completes within the next `WHEEL` cycles, so the
+        // first marked bucket at or after now's is the nearest: search the
+        // rest of now's word, the other words, then the start of now's word.
+        let start = self.cycle as usize % WHEEL;
+        let words = self.wheel_bits.len();
+        for i in 0..=words {
+            let w = (start / 64 + i) % words;
+            let bits = match i {
+                0 => self.wheel_bits[w] & (!0 << (start % 64)),
+                _ if i == words => self.wheel_bits[w] & ((1 << (start % 64)) - 1),
+                _ => self.wheel_bits[w],
+            };
+            if bits != 0 {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                return late.min(self.cycle + ((b + WHEEL - start) % WHEEL) as u64);
+            }
+        }
+        late
+    }
+
+    /// Moves the waiters of every producer completing at this cycle into
     /// the ready list. Runs before commit, so each producer is still in
-    /// the RUU.
+    /// the RUU. The clock never jumps past a wakeup, so the bucket of this
+    /// cycle holds exactly the producers completing now.
     fn wake(&mut self) {
-        while let Some(&Reverse((at, producer))) = self.wakeups.peek() {
-            if at > self.cycle {
-                break;
+        let b = self.cycle as usize % WHEEL;
+        if self.wheel_bits[b / 64] & (1 << (b % 64)) != 0 {
+            self.wheel_bits[b / 64] &= !(1 << (b % 64));
+            let mut producer = std::mem::replace(&mut self.wheel[b], NO_OP);
+            while producer != NO_OP {
+                let next = self.slot_mut(producer).next_wake;
+                self.release(producer);
+                producer = next;
             }
-            self.wakeups.pop();
-            let front_seq = self.ruu[0].seq;
-            let mut w =
-                std::mem::replace(&mut self.ruu[(producer - front_seq) as usize].waiters, NO_OP);
-            while w != NO_OP {
-                let slot = &self.ruu[(w - front_seq) as usize];
-                let entry = ReadyEntry { seq: w, class: UnitClass::of(slot.kind) };
-                w = slot.next_waiter;
-                let pos = self.ready.partition_point(|e| e.seq < entry.seq);
-                self.ready.insert(pos, entry);
+        }
+        let mut i = 0;
+        while i < self.late.len() {
+            if self.late[i].0 == self.cycle {
+                let (_, producer) = self.late.swap_remove(i);
+                self.release(producer);
+            } else {
+                i += 1;
             }
+        }
+    }
+
+    /// Moves `producer`'s waiters into the ready list at their sequence
+    /// positions, so the order of releases within a cycle cannot matter.
+    fn release(&mut self, producer: u64) {
+        let mut w = std::mem::replace(&mut self.slot_mut(producer).waiters, NO_OP);
+        while w != NO_OP {
+            let slot = &self.ruu[(w & self.ruu_mask) as usize];
+            let entry = ReadyEntry { seq: w, class: UnitClass::of(slot.kind) };
+            w = slot.next_waiter;
+            let pos = self.ready.partition_point(|e| e.seq < entry.seq);
+            self.ready.insert(pos, entry);
         }
     }
 
@@ -279,40 +378,41 @@ impl Pipeline {
     /// time would report.
     fn skip_idle<P: Probe>(&mut self, probe: &mut P) {
         let fetching = !(self.done_fetching && self.staged.is_none());
-        if !fetching && self.ruu.is_empty() {
+        if !fetching && self.in_flight() == 0 {
             return;
         }
         let now = self.cycle;
+        // Issue: a ready op now (in order, only the oldest unissued one).
+        let in_order = self.cfg.model == CpuModel::InOrder;
+        if self.ready.first().is_some_and(|e| !in_order || e.seq == self.next_in_order) {
+            return;
+        }
         // Commit: the head's completion.
-        let mut next = match self.ruu.front() {
+        let mut next = match self.oldest() {
             Some(head) if head.issued => head.ready_at,
             _ => u64::MAX,
         };
-        // Issue: a ready op now (in order, only the oldest unissued one),
-        // otherwise the next wakeup.
-        let in_order = self.cfg.model == CpuModel::InOrder;
-        if self.ready.first().is_some_and(|e| !in_order || e.seq == self.next_in_order) {
-            next = now;
-        }
-        if let Some(&Reverse((at, _))) = self.wakeups.peek() {
-            next = next.min(at);
-        }
         // Fetch: once the resume cycle comes, unless a mispredicted branch
         // blocks it or the RUU or LSQ has no room (only commit frees them).
-        let room = self.ruu.len() < self.cfg.ruu_entries as usize
+        let room = self.in_flight() < u64::from(self.cfg.ruu_entries)
             && !(self.staged.is_some() && self.lsq_used == self.cfg.lsq_entries);
         if fetching && self.blocked_on.is_none() && room {
             next = next.min(self.fetch_resume);
         }
+        if next <= now {
+            return;
+        }
+        // Issue again: the next wakeup.
+        next = next.min(self.next_wakeup());
         if next <= now || next == u64::MAX {
             return;
         }
         let span = next - now;
-        if let Some(front) = self.ruu.front() {
+        if let Some(front) = self.oldest() {
             self.cur_region = front.region;
         }
         probe.cycles(self.cur_region, span);
-        if !self.ruu.is_empty() {
+        if self.in_flight() > 0 {
             probe.issue_stalls(span);
         }
         if fetching {
@@ -331,13 +431,13 @@ impl Pipeline {
     fn commit<P: Probe>(&mut self, probe: &mut P) {
         let mut n = 0;
         while n < self.cfg.commit_width {
-            let Some(front) = self.ruu.front() else {
+            let Some(&slot) = self.oldest() else {
                 break;
             };
-            if !front.issued || front.ready_at > self.cycle {
+            if !slot.issued || slot.ready_at > self.cycle {
                 break;
             }
-            let slot = self.ruu.pop_front().expect("front exists");
+            self.front += 1;
             if slot.is_mem {
                 self.lsq_used -= 1;
             }
@@ -347,9 +447,9 @@ impl Pipeline {
     }
 
     fn issue<P: Probe>(&mut self, mem: &mut MemoryHierarchy, probe: &mut P) {
-        let Some(front_seq) = self.ruu.front().map(|s| s.seq) else {
+        if self.in_flight() == 0 {
             return;
-        };
+        }
         let in_order = self.cfg.model == CpuModel::InOrder;
         let mut issued = 0;
         let mut unit_used = [0u32; 3];
@@ -377,9 +477,8 @@ impl Pipeline {
                 read += 1;
                 continue;
             }
-            let idx = (entry.seq - front_seq) as usize;
             let (kind, site) = {
-                let slot = &self.ruu[idx];
+                let slot = self.slot_mut(entry.seq);
                 (slot.kind, slot.site())
             };
             let latency = match kind {
@@ -389,11 +488,11 @@ impl Pipeline {
                 OpKind::Load(a) => mem.data_access_probed(a, false, cycle, site, probe),
                 OpKind::Store(a) => mem.data_access_probed(a, true, cycle, site, probe),
             };
-            let slot = &mut self.ruu[idx];
+            let slot = self.slot_mut(entry.seq);
             slot.issued = true;
             slot.ready_at = cycle + latency;
             if slot.waiters != NO_OP {
-                self.wakeups.push(Reverse((cycle + latency, entry.seq)));
+                self.schedule_wakeup(cycle + latency, entry.seq);
             }
             unit_used[class] += 1;
             issued += 1;
@@ -432,7 +531,7 @@ impl Pipeline {
         }
         let mut fetched = 0;
         while fetched < self.cfg.fetch_width {
-            if self.ruu.len() == self.cfg.ruu_entries as usize {
+            if self.in_flight() == u64::from(self.cfg.ruu_entries) {
                 break;
             }
             let op = match self.staged.take().or_else(|| trace.next()) {
@@ -485,26 +584,27 @@ impl Pipeline {
             // wakeups). A producer before the trace start or already
             // committed counts as complete.
             let dep = u64::from(op.dep);
-            let front_seq = self.ruu.front().map_or(self.seq, |s| s.seq);
             let mut next_waiter = NO_OP;
             let mut waiting = false;
-            if dep != 0 && dep <= self.seq && self.seq - dep >= front_seq {
+            if dep != 0 && dep <= self.seq && self.seq - dep >= self.front {
                 let producer_seq = self.seq - dep;
-                let producer = &mut self.ruu[(producer_seq - front_seq) as usize];
-                if !producer.issued || producer.ready_at > self.cycle + 1 {
-                    if producer.issued && producer.waiters == NO_OP {
-                        self.wakeups.push(Reverse((producer.ready_at, producer_seq)));
-                    }
+                let (seq, cycle) = (self.seq, self.cycle);
+                let producer = self.slot_mut(producer_seq);
+                if !producer.issued || producer.ready_at > cycle + 1 {
+                    let first_waiter_of_issued = producer.issued && producer.waiters == NO_OP;
+                    let ready_at = producer.ready_at;
                     next_waiter = producer.waiters;
-                    producer.waiters = self.seq;
+                    producer.waiters = seq;
                     waiting = true;
+                    if first_waiter_of_issued {
+                        self.schedule_wakeup(ready_at, producer_seq);
+                    }
                 }
             }
             if !waiting {
                 self.ready.push(ReadyEntry { seq: self.seq, class: UnitClass::of(op.kind) });
             }
-            self.ruu.push_back(Slot {
-                seq: self.seq,
+            *self.slot_mut(self.seq) = Slot {
                 pc: op.pc,
                 region: op.region,
                 kind: op.kind,
@@ -513,7 +613,8 @@ impl Pipeline {
                 is_mem,
                 waiters: NO_OP,
                 next_waiter,
-            });
+                next_wake: NO_OP,
+            };
             if is_mem {
                 self.lsq_used += 1;
             }

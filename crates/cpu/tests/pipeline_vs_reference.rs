@@ -6,8 +6,10 @@
 //! pipeline under test jumps over idle cycles and issues from wakeup-fed
 //! ready lists. Both run the same seeded random traces — out of order and in
 //! order, with random widths, RUU, LSQ, unit and latency settings, under
-//! every static assist — and must agree on every `CpuStats` and
-//! `HierarchyStats` field and on the cycles attributed to each region.
+//! every static assist, with a memory latency of 100 or 2000 cycles (the
+//! latter puts completions beyond the pipeline's 1024-cycle wakeup wheel) —
+//! and must agree on every `CpuStats` and `HierarchyStats` field and on the
+//! cycles attributed to each region.
 
 use proptest::prelude::*;
 use selcache_cpu::{CpuConfig, CpuModel, CpuStats, Pipeline};
@@ -293,6 +295,7 @@ struct Case {
     cpu: CpuConfig,
     assist: AssistKind,
     l1_latency: u64,
+    mem_latency: u64,
 }
 
 fn case() -> impl Strategy<Value = Case> {
@@ -310,14 +313,14 @@ fn case() -> impl Strategy<Value = Case> {
         (model, width(), width(), width()),
         (8u32..=128, 1u32..=48, 1u32..=4, 1u32..=4, 1u32..=4),
         (0u64..=4, 1u64..=3, 1u64..=6, fetch_block),
-        (assist, 1u64..=3),
+        (assist, 1u64..=3, prop_oneof![Just(100u64), Just(2000u64)]),
     )
         .prop_map(|(trace, core, window, lat, mem)| {
             let (seed, len, split_pct) = trace;
             let (model, issue_width, fetch_width, commit_width) = core;
             let (ruu_entries, lsq_entries, mem_ports, int_units, fp_units) = window;
             let (mispredict_penalty, int_latency, fp_latency, fetch_block) = lat;
-            let (assist, l1_latency) = mem;
+            let (assist, l1_latency, mem_latency) = mem;
             let cpu = CpuConfig {
                 issue_width,
                 fetch_width,
@@ -334,13 +337,14 @@ fn case() -> impl Strategy<Value = Case> {
                 fetch_block,
                 model,
             };
-            Case { seed, len, split: len * split_pct / 100, cpu, assist, l1_latency }
+            Case { seed, len, split: len * split_pct / 100, cpu, assist, l1_latency, mem_latency }
         })
 }
 
 fn hierarchy(c: &Case) -> MemoryHierarchy {
     let mut cfg = HierarchyConfig::paper_base(c.assist);
     cfg.l1_latency = c.l1_latency;
+    cfg.mem_latency = c.mem_latency;
     MemoryHierarchy::new(cfg)
 }
 

@@ -1,8 +1,7 @@
 //! Set-associative cache model with three-C miss classification.
 
-use crate::lru::LruSet;
 use crate::stats::{CacheStats, MissClass};
-use crate::table::PagedBits;
+use crate::table::PagedSlots;
 use selcache_ir::Addr;
 
 /// Geometry of one cache; replacement is always least recently used, the
@@ -106,9 +105,11 @@ pub struct Cache {
     stats: CacheStats,
     /// Fully-associative LRU shadow of equal capacity, for conflict-miss
     /// classification.
-    shadow: Option<LruSet>,
-    /// Blocks ever referenced (compulsory-miss detection).
-    seen: PagedBits,
+    shadow: Option<Shadow>,
+    /// Per-block state: bit 0 is set once the block has missed here
+    /// (compulsory-miss detection); the bits above hold 1 + the index of
+    /// the shadow node that last held the block, or 0 for none.
+    slots: PagedSlots,
     /// Per-line way-duel ownership tags (0 untagged, 1 regular,
     /// 2 irregular), allocated lazily by [`Cache::fill_partitioned`].
     owner: Option<Box<[u8]>>,
@@ -121,6 +122,11 @@ impl Cache {
     }
 
     /// Creates a cache that classifies misses into the three Cs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache has 2^31 lines or more: its per-block slots
+    /// hold shadow node indices below that.
     pub fn with_classification(cfg: CacheConfig) -> Self {
         Self::build(cfg, true)
     }
@@ -140,8 +146,8 @@ impl Cache {
             assoc: cfg.assoc as usize,
             stamp: 0,
             stats: CacheStats::default(),
-            shadow: classify.then(|| LruSet::new(cfg.num_lines() as usize)),
-            seen: PagedBits::new(),
+            shadow: classify.then(|| Shadow::new(cfg.num_lines() as usize)),
+            slots: PagedSlots::new(),
             owner: None,
         }
     }
@@ -204,8 +210,11 @@ impl Cache {
             line.dirty |= write;
             self.mru[si] = way as u32;
             self.stats.hits += 1;
+            // A hit refreshes the shadow but leaves the missed bit alone: a
+            // bare fill can make a block hit before its first miss, and
+            // that first miss still counts as compulsory.
             if let Some(shadow) = &mut self.shadow {
-                shadow.insert(block, false);
+                shadow.touch(block, self.slots.slot(block));
             }
             return Lookup::Hit;
         }
@@ -215,11 +224,13 @@ impl Cache {
     }
 
     fn classify(&mut self, block: u64) -> MissClass {
-        let first_touch = self.seen.set(block);
-        // One shadow touch per miss: the probing insert reports prior
-        // membership and refreshes recency in a single lookup.
+        let slot = self.slots.slot(block);
+        let first_touch = *slot & 1 == 0;
+        *slot |= 1;
+        // One shadow touch per miss: it reports prior membership and
+        // refreshes recency through the same slot.
         let shadow_hit = match &mut self.shadow {
-            Some(shadow) => shadow.insert_probe(block, false).0,
+            Some(shadow) => shadow.touch(block, slot),
             None => false,
         };
         if first_touch {
@@ -373,6 +384,94 @@ impl Cache {
     /// Number of valid lines currently resident.
     pub fn resident(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
+    }
+}
+
+/// End of the shadow list.
+const NIL: u32 = u32::MAX;
+
+/// A node of the shadow list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// Fully-associative LRU list of block numbers, indexed through the cache's
+/// slot table instead of a hash table: a block's slot names the node that
+/// last held it, and the block is in the shadow exactly when that node's
+/// key is still the block. Nodes are never freed; once `capacity` nodes
+/// exist, a new block takes over the least recently used node.
+#[derive(Debug, Clone)]
+struct Shadow {
+    nodes: Vec<Node>,
+    capacity: usize,
+    /// Most-recently-used node.
+    head: u32,
+    /// Least-recently-used node.
+    tail: u32,
+}
+
+impl Shadow {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity < 1 << 31, "a slot holds shadow node indices below 2^31");
+        Shadow { nodes: Vec::with_capacity(capacity), capacity, head: NIL, tail: NIL }
+    }
+
+    /// Makes `block` the most recently used, recording its node in bits 1
+    /// and up of `slot`. Returns whether `block` was already present.
+    #[inline]
+    fn touch(&mut self, block: u64, slot: &mut u32) -> bool {
+        let held = *slot >> 1;
+        if held != 0 && self.nodes[(held - 1) as usize].key == block {
+            let idx = held - 1;
+            if idx != self.head {
+                self.unlink(idx);
+                self.link_front(idx);
+            }
+            return true;
+        }
+        let idx = if self.nodes.len() < self.capacity {
+            self.nodes.push(Node { key: block, prev: NIL, next: NIL });
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.tail;
+            self.unlink(idx);
+            self.nodes[idx as usize].key = block;
+            idx
+        };
+        self.link_front(idx);
+        *slot = (*slot & 1) | ((idx + 1) << 1);
+        false
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let Node { prev, next, .. } = self.nodes[idx as usize];
+        if prev != NIL {
+            self.nodes[prev as usize].next = next;
+        } else {
+            self.head = next;
+        }
+        if next != NIL {
+            self.nodes[next as usize].prev = prev;
+        } else {
+            self.tail = prev;
+        }
+    }
+
+    fn link_front(&mut self, idx: u32) {
+        let old_head = self.head;
+        let node = &mut self.nodes[idx as usize];
+        node.prev = NIL;
+        node.next = old_head;
+        if old_head != NIL {
+            self.nodes[old_head as usize].prev = idx;
+        }
+        self.head = idx;
+        if self.tail == NIL {
+            self.tail = idx;
+        }
     }
 }
 

@@ -148,7 +148,13 @@ pub struct MemoryHierarchy {
 impl MemoryHierarchy {
     /// Builds a hierarchy; the assist starts *enabled* (matching the pure
     /// hardware and combined versions; the selective version toggles it).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `bus_bytes` is zero: every block
+    /// transfer over the memory bus divides by it.
     pub fn new(cfg: HierarchyConfig) -> Self {
+        assert!(cfg.bus_bytes > 0, "HierarchyConfig::bus_bytes must be at least 1");
         // A controller arbitrates between bypassing and victim caching at
         // run time, so it needs both structures built regardless of the
         // static assist selection; it never picks stream buffers.
@@ -1082,5 +1088,13 @@ mod tests {
         assert!(duel.adjustments() > 0, "one-sided pressure should move ways");
         assert!(duel.side_quota(true) <= start);
         assert_eq!(duel.side_quota(true) + duel.side_quota(false), assoc);
+    }
+
+    #[test]
+    #[should_panic(expected = "bus_bytes")]
+    fn zero_bus_width_is_rejected() {
+        let mut cfg = HierarchyConfig::paper_base(AssistKind::None);
+        cfg.bus_bytes = 0;
+        MemoryHierarchy::new(cfg);
     }
 }

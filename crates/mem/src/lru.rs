@@ -1,7 +1,8 @@
 //! A fixed-capacity fully-associative LRU set with O(1) operations.
 //!
-//! This is the building block for the victim cache, the bypass buffer, and
-//! the fully-associative shadow cache used for conflict-miss classification.
+//! This is the building block for the victim caches and the bypass buffer.
+//! (The miss classification's fully-associative shadow keeps its own list,
+//! indexed through the cache's per-block slot table; see `cache.rs`.)
 
 use crate::table::BlockMap;
 
@@ -75,30 +76,20 @@ impl LruSet {
     /// set was full. Re-inserting an existing key refreshes it (and ORs the
     /// dirty bit); nothing is evicted in that case.
     pub fn insert(&mut self, key: u64, dirty: bool) -> Option<(u64, bool)> {
-        self.insert_probe(key, dirty).1
-    }
-
-    /// [`LruSet::insert`] that also reports whether `key` was already present
-    /// before the insert — membership probe and recency update in a single
-    /// table lookup, for callers (miss classification) that would otherwise
-    /// pay `contains` + `insert`.
-    pub fn insert_probe(&mut self, key: u64, dirty: bool) -> (bool, Option<(u64, bool)>) {
         // Fast path: re-inserting the current MRU key changes no ordering,
-        // so skip the table lookup and list relink entirely. This is the
-        // common case for the classification shadow, which is touched on
-        // every access of a block-dense reference stream.
+        // so skip the table lookup and list relink entirely.
         if self.head != NIL {
             let h = &mut self.nodes[self.head as usize];
             if h.key == key {
                 h.dirty |= dirty;
-                return (true, None);
+                return None;
             }
         }
         if let Some(idx) = self.map.get(key) {
             self.nodes[idx as usize].dirty |= dirty;
             self.unlink(idx);
             self.link_front(idx);
-            return (true, None);
+            return None;
         }
         let mut evicted = None;
         if self.map.len() == self.capacity {
@@ -123,7 +114,7 @@ impl LruSet {
         };
         self.map.insert(key, idx);
         self.link_front(idx);
-        (false, evicted)
+        evicted
     }
 
     /// Removes `key`, returning its dirty bit if it was present.
@@ -218,16 +209,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = LruSet::new(0);
-    }
-
-    #[test]
-    fn insert_probe_reports_prior_membership() {
-        let mut s = LruSet::new(2);
-        assert_eq!(s.insert_probe(1, false), (false, None));
-        assert_eq!(s.insert_probe(1, true), (true, None));
-        assert_eq!(s.insert_probe(2, false), (false, None));
-        // 1 is LRU and carries the dirty bit merged by the refreshing probe.
-        assert_eq!(s.insert_probe(3, false), (false, Some((1, true))));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use selcache_ir::Addr;
 /// MAT geometry and counter behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatConfig {
-    /// Number of table entries (4096 in the paper).
+    /// Number of table entries (4096 in the paper); a power of two.
     pub entries: usize,
     /// Macro-block size in bytes (1 KiB in the paper).
     pub macro_block: u64,
@@ -36,6 +36,9 @@ pub struct Mat {
     tags: Vec<u64>,
     counts: Vec<u32>,
     since_decay: u64,
+    /// `log2(macro_block)` and `log2(entries)`.
+    macro_shift: u32,
+    entries_shift: u32,
 }
 
 impl Mat {
@@ -43,20 +46,28 @@ impl Mat {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or `macro_block` is not a power of two.
+    /// Panics if `entries` or `macro_block` is not a power of two.
     pub fn new(cfg: MatConfig) -> Self {
-        assert!(cfg.entries > 0, "MAT must have entries");
+        assert!(cfg.entries.is_power_of_two(), "MAT entries must be a power of two");
         assert!(cfg.macro_block.is_power_of_two(), "macro-block size must be a power of two");
-        Mat { cfg, tags: vec![u64::MAX; cfg.entries], counts: vec![0; cfg.entries], since_decay: 0 }
+        Mat {
+            cfg,
+            tags: vec![u64::MAX; cfg.entries],
+            counts: vec![0; cfg.entries],
+            since_decay: 0,
+            macro_shift: cfg.macro_block.trailing_zeros(),
+            entries_shift: cfg.entries.trailing_zeros(),
+        }
     }
 
     /// Macro-block number of an address.
     pub fn macro_of(&self, addr: Addr) -> u64 {
-        addr.block(self.cfg.macro_block)
+        addr.0 >> self.macro_shift
     }
 
+    /// Table index and tag of macro-block `mb`.
     fn slot(&self, mb: u64) -> (usize, u64) {
-        ((mb % self.cfg.entries as u64) as usize, mb / self.cfg.entries as u64)
+        ((mb & (self.cfg.entries as u64 - 1)) as usize, mb >> self.entries_shift)
     }
 
     /// Records an access to `addr`, bumping its macro-block counter. A tag
@@ -150,6 +161,12 @@ mod tests {
         m.record(Addr(16 * 1024));
         assert_eq!(m.count(Addr(16 * 1024)), 1);
         assert_eq!(m.count(Addr(0)), 0); // evicted
+    }
+
+    #[test]
+    #[should_panic(expected = "MAT entries must be a power of two")]
+    fn non_power_of_two_entries_panic() {
+        Mat::new(MatConfig { entries: 12, ..MatConfig::default() });
     }
 
     #[test]

@@ -11,7 +11,7 @@ use selcache_ir::Addr;
 /// SLDT geometry and thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SldtConfig {
-    /// Number of table entries.
+    /// Number of table entries; a power of two.
     pub entries: usize,
     /// Macro-block (region) size in bytes; matches the MAT's macro-blocks.
     pub macro_block: u64,
@@ -44,6 +44,9 @@ struct Entry {
 pub struct Sldt {
     cfg: SldtConfig,
     entries: Vec<Entry>,
+    /// `log2(macro_block)` and `log2(block_size)`.
+    macro_shift: u32,
+    block_shift: u32,
 }
 
 impl Sldt {
@@ -51,26 +54,30 @@ impl Sldt {
     ///
     /// # Panics
     ///
-    /// Panics if sizes are not powers of two or `entries` is zero.
+    /// Panics if `entries`, `macro_block` or `block_size` is not a power
+    /// of two.
     pub fn new(cfg: SldtConfig) -> Self {
-        assert!(cfg.entries > 0, "SLDT must have entries");
+        assert!(cfg.entries.is_power_of_two(), "SLDT entries must be a power of two");
         assert!(cfg.macro_block.is_power_of_two(), "macro-block must be a power of two");
         assert!(cfg.block_size.is_power_of_two(), "block size must be a power of two");
         Sldt {
             cfg,
             entries: vec![Entry { tag: 0, last_block: 0, counter: 0, valid: false }; cfg.entries],
+            macro_shift: cfg.macro_block.trailing_zeros(),
+            block_shift: cfg.block_size.trailing_zeros(),
         }
     }
 
+    /// Table index of `addr`'s macro-block, and the macro-block as its tag.
     fn slot(&self, addr: Addr) -> (usize, u64) {
-        let mb = addr.block(self.cfg.macro_block);
-        ((mb % self.cfg.entries as u64) as usize, mb)
+        let mb = addr.0 >> self.macro_shift;
+        ((mb & (self.cfg.entries as u64 - 1)) as usize, mb)
     }
 
     /// Records an access, updating the region's spatial counter.
     pub fn record(&mut self, addr: Addr) {
         let (i, tag) = self.slot(addr);
-        let block = addr.block(self.cfg.block_size);
+        let block = addr.0 >> self.block_shift;
         let e = &mut self.entries[i];
         if e.valid && e.tag == tag {
             if block == e.last_block + 1 || (e.last_block > 0 && block == e.last_block - 1) {
@@ -144,6 +151,12 @@ mod tests {
         // Macro-block 2 collides with macro-block 0 (2 entries).
         s.record(Addr(2 * 1024));
         assert!(!s.wants_large_fetch(Addr(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "SLDT entries must be a power of two")]
+    fn non_power_of_two_entries_panic() {
+        Sldt::new(SldtConfig { entries: 48, ..SldtConfig::default() });
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Simulated addresses are synthetic and dense (arrays start at a fixed base
 //! and grow contiguously), so block numbers cluster into a few small ranges.
-//! That makes a paged bitmap the right shape for first-touch tracking and a
-//! fixed-size open-addressed table the right shape for the shadow-LRU /
-//! victim-buffer indices — both replace `std` hash containers whose per-op
-//! SipHash cost dominated `Cache::access`.
+//! That makes a paged array the right shape for per-block state (the miss
+//! classification's slot table) and a fixed-size open-addressed table the
+//! right shape for the victim-cache and bypass-buffer indices — both replace
+//! `std` hash containers whose per-op SipHash cost dominated
+//! `Cache::access`.
 
 /// Sentinel marking an empty [`BlockMap`] slot (node indices never reach it).
 const EMPTY: u32 = u32::MAX;
@@ -14,9 +15,10 @@ const EMPTY: u32 = u32::MAX;
 const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Fixed-capacity open-addressed hash map from block number to a `u32` node
-/// index. Linear probing with backward-shift deletion; the slot array is
-/// sized to twice the bound passed at construction so the load factor never
-/// exceeds one half and probes stay short.
+/// index: the index of an [`crate::LruSet`], which serves the victim caches
+/// and the bypass buffer. Linear probing with backward-shift deletion; the
+/// slot array is sized to twice the bound passed at construction so the
+/// load factor never exceeds one half and probes stay short.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockMap {
     keys: Box<[u64]>,
@@ -120,45 +122,40 @@ impl BlockMap {
     }
 }
 
-/// Bits per [`PagedBits`] page (4 KiB of payload).
-const PAGE_SHIFT: u32 = 15;
-const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 6);
+/// Blocks per [`PagedSlots`] page (16 KiB of payload).
+const PAGE_SHIFT: u32 = 12;
+const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
 /// Pages addressed directly; block numbers at or beyond
-/// `MAX_PAGES << PAGE_SHIFT` (2^31) spill into the overflow set.
-const MAX_PAGES: usize = 1 << 16;
+/// `MAX_PAGES << PAGE_SHIFT` (2^31) spill into the overflow map.
+const MAX_PAGES: usize = 1 << (31 - PAGE_SHIFT);
 
-/// Lazily-allocated paged bitmap over block numbers, used for first-touch
-/// (compulsory-miss) detection. Membership test plus insert is a single
-/// masked load on the hot path; pathological block numbers fall back to a
-/// hash set so correctness never depends on density.
+/// One `u32` per block number, zero until first written, in lazily
+/// allocated pages. A slot is a single indexed load on the hot path;
+/// pathological block numbers fall back to a hash map so correctness never
+/// depends on density.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PagedBits {
-    pages: Vec<Option<Box<[u64]>>>,
-    overflow: std::collections::HashSet<u64>,
+pub(crate) struct PagedSlots {
+    pages: Vec<Option<Box<[u32]>>>,
+    overflow: std::collections::HashMap<u64, u32>,
 }
 
-impl PagedBits {
+impl PagedSlots {
     pub fn new() -> Self {
-        PagedBits::default()
+        PagedSlots::default()
     }
 
-    /// Sets `bit`, returning true if it was previously clear.
+    /// The slot of `block`, allocating its page on first use.
     #[inline]
-    pub fn set(&mut self, bit: u64) -> bool {
-        let page = (bit >> PAGE_SHIFT) as usize;
+    pub fn slot(&mut self, block: u64) -> &mut u32 {
+        let page = (block >> PAGE_SHIFT) as usize;
         if page >= MAX_PAGES {
-            return self.overflow.insert(bit);
+            return self.overflow.entry(block).or_default();
         }
         if page >= self.pages.len() {
             self.pages.resize_with(page + 1, || None);
         }
-        let words =
-            self.pages[page].get_or_insert_with(|| vec![0u64; PAGE_WORDS].into_boxed_slice());
-        let w = ((bit >> 6) as usize) & (PAGE_WORDS - 1);
-        let m = 1u64 << (bit & 63);
-        let fresh = words[w] & m == 0;
-        words[w] |= m;
-        fresh
+        let slots = self.pages[page].get_or_insert_with(|| vec![0; PAGE_SLOTS].into_boxed_slice());
+        &mut slots[block as usize & (PAGE_SLOTS - 1)]
     }
 }
 
@@ -213,25 +210,5 @@ mod tests {
             }
             assert_eq!(m.len(), h.len());
         }
-    }
-
-    #[test]
-    fn paged_bits_first_touch_only_once() {
-        let mut b = PagedBits::new();
-        assert!(b.set(0));
-        assert!(!b.set(0));
-        assert!(b.set(63));
-        assert!(b.set(64));
-        assert!(b.set(1 << 20));
-        assert!(!b.set(1 << 20));
-    }
-
-    #[test]
-    fn paged_bits_overflow_range() {
-        let mut b = PagedBits::new();
-        let huge = 1u64 << 40;
-        assert!(b.set(huge));
-        assert!(!b.set(huge));
-        assert!(b.set(huge + 1));
     }
 }

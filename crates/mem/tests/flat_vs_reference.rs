@@ -6,7 +6,10 @@
 //! fully-associative LRU shadow. Both models are driven through the same
 //! 100k-access mixed workload (accesses, fills, victim previews, probes) and
 //! must agree on every lookup result, every eviction, and the final
-//! `CacheStats` including the three-C classification.
+//! `CacheStats` including the three-C classification. The workload runs on
+//! several geometries (set-associative, direct-mapped, one set, a set count
+//! that is not a power of two, one line) and block universes (dense, at or
+//! above 2^31, spread over many pages of the cache's per-block slot table).
 
 use selcache_mem::{Cache, CacheConfig, Lookup};
 
@@ -192,19 +195,23 @@ impl Stream {
     }
 }
 
-#[test]
-fn lru_matches_reference() {
-    // 4KiB, 4-way, 32B blocks: 32 sets, 128 lines. The block universe is 4x
-    // the cache capacity with a strided hot region, so all three miss classes
-    // occur.
-    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32 };
+/// Drives the cache and the reference, both of geometry `cfg`, through
+/// 100k mixed steps over the blocks `universe` maps each random word to, and
+/// asserts that they agree at every step and in the final counts, and that
+/// all three miss classes occurred.
+fn check_against_reference(
+    label: &str,
+    cfg: CacheConfig,
+    seed: u64,
+    universe: impl Fn(u64) -> u64,
+) {
     let mut flat = Cache::with_classification(cfg);
     let mut refc = reference::RefCache::new(cfg);
-    let mut s = Stream(0xDEAD_BEEF);
+    let mut s = Stream(seed);
 
     for step in 0..100_000u64 {
         let r = s.next();
-        let block = if r & 1 == 0 { r % 96 } else { (r >> 8) % 512 };
+        let block = universe(r);
         match r % 100 {
             0..=84 => {
                 let write = r & 4 != 0;
@@ -213,28 +220,28 @@ fn lru_matches_reference() {
                 match (got, want) {
                     (Lookup::Hit, None) => {}
                     (Lookup::Miss(a), Some(b)) => {
-                        assert_eq!(a, b, "step {step}: class mismatch");
+                        assert_eq!(a, b, "{label}, step {step}: class mismatch");
                         let ev_flat = flat.fill(block, write).map(|e| (e.block, e.dirty));
                         let ev_ref = refc.fill(block, write);
-                        assert_eq!(ev_flat, ev_ref, "step {step}: eviction");
+                        assert_eq!(ev_flat, ev_ref, "{label}, step {step}: eviction");
                     }
-                    (a, b) => panic!("step {step}: {a:?} vs {b:?}"),
+                    (a, b) => panic!("{label}, step {step}: {a:?} vs {b:?}"),
                 }
             }
             85..=91 => {
                 let ev_flat = flat.fill(block, r & 8 != 0).map(|e| (e.block, e.dirty));
                 let ev_ref = refc.fill(block, r & 8 != 0);
-                assert_eq!(ev_flat, ev_ref, "step {step}: bare fill");
+                assert_eq!(ev_flat, ev_ref, "{label}, step {step}: bare fill");
             }
             96..=97 => {
                 assert_eq!(
                     flat.victim_for(block).map(|e| (e.block, e.dirty)),
                     refc.victim_for(block),
-                    "step {step}: victim preview"
+                    "{label}, step {step}: victim preview"
                 );
             }
             _ => {
-                assert_eq!(flat.probe(block), refc.probe(block), "step {step}: probe");
+                assert_eq!(flat.probe(block), refc.probe(block), "{label}, step {step}: probe");
             }
         }
     }
@@ -243,18 +250,78 @@ fn lru_matches_reference() {
     assert_eq!(
         (st.accesses, st.hits, st.misses),
         (refc.accesses, refc.hits, refc.misses),
-        "aggregate counts"
+        "{label}: aggregate counts"
     );
     assert_eq!(
         (st.compulsory, st.capacity, st.conflict),
         (refc.compulsory, refc.capacity, refc.conflict),
-        "three-C classification"
+        "{label}: three-C classification"
     );
-    assert_eq!(st.writebacks, refc.writebacks, "writebacks");
-    assert_eq!(flat.resident(), refc.resident(), "resident lines");
-    assert!(st.misses > 0 && st.hits > 0, "workload must mix hits and misses");
+    assert_eq!(st.writebacks, refc.writebacks, "{label}: writebacks");
+    assert_eq!(flat.resident(), refc.resident(), "{label}: resident lines");
+    assert!(st.misses > 0 && st.hits > 0, "{label}: workload must mix hits and misses");
     assert!(
         st.compulsory > 0 && st.capacity > 0 && st.conflict > 0,
-        "workload must exercise all three miss classes"
+        "{label}: workload must exercise all three miss classes"
     );
+}
+
+/// Blocks `0..4 * lines`, half the draws from a hot region of three
+/// quarters of the cache's lines, so every miss class occurs.
+fn dense(lines: u64) -> impl Fn(u64) -> u64 {
+    let hot = (lines * 3 / 4).max(1);
+    move |r| if r & 1 == 0 { r % hot } else { (r >> 8) % (lines * 4) }
+}
+
+#[test]
+fn lru_matches_reference() {
+    // 4KiB, 4-way, 32B blocks: 32 sets, 128 lines, so the blocks are 0..512
+    // with a hot region of 96.
+    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32 };
+    check_against_reference("4 KiB 4-way", cfg, 0xDEAD_BEEF, dense(cfg.num_lines()));
+}
+
+#[test]
+fn direct_mapped_matches_reference() {
+    let cfg = CacheConfig { size: 2048, assoc: 1, block_size: 32 };
+    check_against_reference("direct-mapped", cfg, 1, dense(cfg.num_lines()));
+}
+
+#[test]
+fn fully_associative_matches_reference() {
+    // One set of 16 ways.
+    let cfg = CacheConfig { size: 16 * 32, assoc: 16, block_size: 32 };
+    assert_eq!(cfg.num_sets(), 1);
+    check_against_reference("one set", cfg, 2, dense(cfg.num_lines()));
+}
+
+#[test]
+fn non_power_of_two_set_count_matches_reference() {
+    let cfg = CacheConfig { size: 3 * 4 * 32, assoc: 4, block_size: 32 };
+    assert_eq!(cfg.num_sets(), 3);
+    check_against_reference("3 sets x 4 ways", cfg, 3, dense(cfg.num_lines()));
+}
+
+#[test]
+fn one_line_cache_matches_reference() {
+    let cfg = CacheConfig { size: 32, assoc: 1, block_size: 32 };
+    check_against_reference("one line", cfg, 4, dense(cfg.num_lines()));
+}
+
+#[test]
+fn blocks_above_2_pow_31_match_reference() {
+    // Block numbers this high bypass the slot table's pages for its
+    // overflow map.
+    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32 };
+    let blocks = dense(cfg.num_lines());
+    check_against_reference("blocks >= 2^31", cfg, 5, move |r| (1 << 31) + blocks(r));
+}
+
+#[test]
+fn blocks_over_many_pages_match_reference() {
+    // A stride above the slot table's 4Ki-block pages puts every block on
+    // a page of its own; it is odd, so it keeps the draws' spread over sets.
+    let cfg = CacheConfig { size: 4096, assoc: 4, block_size: 32 };
+    let blocks = dense(cfg.num_lines());
+    check_against_reference("many pages", cfg, 6, move |r| blocks(r) * 5003);
 }
