@@ -161,21 +161,53 @@ pub struct Representative {
     pub cluster_size: usize,
 }
 
+/// Every pairwise [`IntervalFingerprint::distance`] of an interval list,
+/// computed once: the strict lower triangle, row by row. `distance` is
+/// symmetric bit for bit (the Jaccard counts commute, and `x - y` rounds
+/// to exactly `-(y - x)`) and exactly 0 between an interval and itself,
+/// so one entry per unordered pair answers both orders.
+struct Distances {
+    lower: Vec<f64>,
+}
+
+impl Distances {
+    fn new(intervals: &[IntervalFingerprint]) -> Distances {
+        let n = intervals.len();
+        let mut lower = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for (row, b) in intervals.iter().enumerate() {
+            lower.extend(intervals[..row].iter().map(|a| a.distance(b)));
+        }
+        Distances { lower }
+    }
+
+    fn get(&self, a: usize, b: usize) -> f64 {
+        let (col, row) = match a.cmp(&b) {
+            std::cmp::Ordering::Less => (a, b),
+            std::cmp::Ordering::Greater => (b, a),
+            std::cmp::Ordering::Equal => return 0.0,
+        };
+        self.lower[row * (row - 1) / 2 + col]
+    }
+}
+
 /// Clusters interval fingerprints with k-medoids and returns one weighted
 /// representative per cluster, ordered by interval index.
 ///
 /// Seeding is deterministic farthest-first (ties broken toward the lowest
 /// index), so the selection — and therefore every sampled simulation built
 /// on it — is reproducible across runs and thread counts.
+///
+/// The refinement visits some pairs many times, so every pairwise distance
+/// is computed once up front: `n(n-1)/2` `f64` for `n` intervals (1.6 MB
+/// at 634).
 pub fn select(intervals: &[IntervalFingerprint], k: usize) -> Vec<Representative> {
     let n = intervals.len();
     if n == 0 || k == 0 {
         return Vec::new();
     }
     let k = k.min(n);
-    // Pairwise distances; interval counts are small (ops/interval_ops), so
-    // the dense matrix is cheap relative to one streaming pass.
-    let dist = |a: usize, b: usize| intervals[a].distance(&intervals[b]);
+    let distances = Distances::new(intervals);
+    let dist = |a: usize, b: usize| distances.get(a, b);
 
     // Farthest-first seeding from interval 0.
     let mut medoids = vec![0usize];

@@ -283,11 +283,12 @@ impl Cli {
 
 /// Renders [`EngineStats`](selcache_core::EngineStats) as the JSON object
 /// the `table3`/`sweep` binaries and the `selcached` protocol all embed
-/// (dedup plus store hit/miss accounting).
+/// (dedup, shared simulations, and store hit/miss accounting).
 pub fn engine_stats_json(stats: &selcache_core::EngineStats) -> Json {
     Json::obj([
         ("submitted", Json::UInt(stats.submitted as u64)),
         ("executed", Json::UInt(stats.executed as u64)),
+        ("shared", Json::UInt(stats.shared as u64)),
         ("dedup_hits", Json::UInt(stats.dedup_hits as u64)),
         ("programs_prepared", Json::UInt(stats.programs_prepared as u64)),
         ("store_hits", Json::UInt(stats.store_hits as u64)),

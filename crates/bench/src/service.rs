@@ -45,7 +45,8 @@
 //! `regions` count). Each `"result"` line echoes the job's stable
 //! `job_id`; the `"done"` line carries the engine counters for the
 //! request, so clients see how much of their sweep was answered by the
-//! store (cross-client dedup shows up here as `store_hits`).
+//! store (cross-client dedup shows up here as `store_hits`), and how many
+//! of the identities it simulated shared another's simulation (`shared`).
 //!
 //! A field present with another JSON type than the one documented here
 //! (`null` included) is an error naming the field, never its default.
@@ -117,6 +118,7 @@ struct Totals {
     requests: u64,
     jobs: u64,
     executed: u64,
+    shared: u64,
     dedup_hits: u64,
     store_hits: u64,
     store_misses: u64,
@@ -128,6 +130,7 @@ impl Totals {
         self.requests += 1;
         self.jobs += stats.submitted as u64;
         self.executed += stats.executed as u64;
+        self.shared += stats.shared as u64;
         self.dedup_hits += stats.dedup_hits as u64;
         self.store_hits += stats.store_hits as u64;
         self.store_misses += stats.store_misses as u64;
@@ -454,6 +457,7 @@ fn stats_json(state: &ServerState, totals: &Totals) -> Json {
         ("requests", Json::UInt(totals.requests)),
         ("jobs", Json::UInt(totals.jobs)),
         ("executed", Json::UInt(totals.executed)),
+        ("shared", Json::UInt(totals.shared)),
         ("dedup_hits", Json::UInt(totals.dedup_hits)),
         ("store_hits", Json::UInt(totals.store_hits)),
         ("store_misses", Json::UInt(totals.store_misses)),

@@ -405,16 +405,23 @@ fn profiled_requests_report_regions() {
     let server_thread = std::thread::spawn(move || server.run().expect("server run"));
     await_server(&sock);
 
+    // Adi's Selective code has no marker and equals its PureSoftware code:
+    // one simulation answers both, and the counters say so.
     let lines = request(
         &sock,
-        r#"{"op":"run","profiled":true,"jobs":[{"benchmark":"adi","scale":"tiny","version":"selective"}]}"#,
+        r#"{"op":"run","profiled":true,"jobs":[{"benchmark":"adi","scale":"tiny","version":"selective"},{"benchmark":"adi","scale":"tiny","version":"pure-software"}]}"#,
     );
-    assert_eq!(lines.len(), 2);
-    assert_eq!(kind(&lines[0]), "result");
-    assert!(uint(&lines[0], "regions") > 0, "profiled result carries regions: {}", lines[0]);
-    let engine = lines[1].get("engine").expect("engine");
+    assert_eq!(lines.len(), 3);
+    for line in &lines[..2] {
+        assert_eq!(kind(line), "result");
+        assert!(uint(line, "regions") > 0, "profiled result carries regions: {line}");
+    }
+    let engine = lines[2].get("engine").expect("engine");
     assert_eq!(uint(engine, "store_hits"), 0);
     assert_eq!(uint(engine, "bytes_written"), 0, "no store attached");
+    assert_eq!((uint(engine, "executed"), uint(engine, "shared")), (2, 1), "{engine}");
+    let stats = request(&sock, r#"{"op":"stats"}"#);
+    assert_eq!(uint(&stats[0], "shared"), 1, "lifetime totals: {}", stats[0]);
 
     let bye = request(&sock, r#"{"op":"shutdown"}"#);
     assert_eq!(kind(&bye[0]), "bye");

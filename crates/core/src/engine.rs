@@ -11,17 +11,25 @@
 //!    assist's initial state. Two jobs with the same identity are simulated
 //!    once — e.g. the `Base` run a bypass suite and a victim suite both
 //!    need, or the `Base` runs the four improvement computations share.
-//! 2. **Prepare once.** Each distinct `(benchmark, scale, preparation,
-//!    opt-config)` program is built and compiled exactly once, shared by
-//!    all jobs that execute it.
-//! 3. **Execute in parallel.** Unique jobs run on the engine's shared
+//! 2. **Prepare once, simulate each execution once.** Each distinct
+//!    `(benchmark, scale, preparation, opt-config)` program is built and
+//!    compiled exactly once, shared by all jobs that execute it. Built
+//!    programs are then compared: identities whose programs are equal, on
+//!    the same machine and mode, with an assist that can never act
+//!    differently, share one simulation (and one profile pass) — e.g. a
+//!    `Selective` run whose code has no ON/OFF marker, which equals its
+//!    optimized code and never turns its assist on, and the
+//!    `PureSoftware` run of the same code. Each identity still gets its
+//!    own result, `job_id` and store entry.
+//! 3. **Execute in parallel.** The simulations run on the engine's shared
 //!    [`Executor`](crate::Executor) budget (self-scheduling workers claim
-//!    the next unstarted job, so long simulations never serialize behind
-//!    short ones). Sampled jobs fan their representative intervals out
-//!    over the *same* budget — one global thread cap covers both levels.
-//!    Jobs start in profile-pass order: the first sampled job of each
-//!    prepared program before any job that would wait on its pass.
-//!    `threads == 1` runs inline with no pool at all.
+//!    the next unstarted one). Sampled jobs fan their representative
+//!    intervals out over the *same* budget — one global thread cap covers
+//!    both levels. Simulations start in profile-pass order, the first of
+//!    each profile pass before any that would wait on it, and the longest
+//!    programs first within that order, so a long simulation never starts
+//!    last and runs on alone. `threads == 1` runs inline with no pool at
+//!    all.
 //! 4. **Reassemble deterministically.** Results come back in submission
 //!    order. Every simulation is itself deterministic, so output is
 //!    bit-identical for every thread count.
@@ -53,6 +61,7 @@ use selcache_compiler::{
 use selcache_ir::Program;
 use selcache_mem::{AssistKind, ControllerConfig};
 use selcache_workloads::{Benchmark, Scale};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -270,13 +279,41 @@ impl ExecKey {
         }
     }
 
+    /// The simulation that answers this identity once its program is
+    /// built: the identity with its program replaced by `canonical`, the
+    /// first built program of equal code, and its assist normalized to what
+    /// the run can observe. `markers` is the program's
+    /// [`Program::marker_count`].
+    ///
+    /// Without a controller, an assist is inert when it is
+    /// [`AssistKind::None`] (no structure reads the flag) or when its flag
+    /// starts off in code with no marker to switch it on. An inert assist
+    /// is never probed, trained or filled, and its counters read 0, so the
+    /// run equals one with no assist and the flag on. With a controller
+    /// the flag gates the controller whatever the assist, so nothing is
+    /// normalized.
+    fn execution(&self, canonical: &ProgramKey, markers: usize) -> ExecKey {
+        let inert = self.machine.mem.controller.is_none()
+            && (self.assist == AssistKind::None || (!self.assist_enabled && markers == 0));
+        let (assist, assist_enabled) =
+            if inert { (AssistKind::None, true) } else { (self.assist, self.assist_enabled) };
+        ExecKey {
+            program: canonical.clone(),
+            machine: self.machine.clone(),
+            assist,
+            assist_enabled,
+            mode: self.mode,
+        }
+    }
+
     /// Process-wide selection-cache key of a sampled run's profile pass: a
     /// stable hash of the prepared-program identity plus the interval
     /// geometry. Everything that executes the same prepared program with
     /// the same interval size and representative budget shares one profile
     /// pass and one checkpoint set — warmup length is deliberately excluded
-    /// (it only affects pass 2). `None` for an exact run, which has no
-    /// profile pass.
+    /// (it only affects pass 2). The engine asks it of an
+    /// [`ExecKey::execution`], so programs of equal code share one pass.
+    /// `None` for an exact run, which has no profile pass.
     fn selection_key(&self) -> Option<u128> {
         let SimMode::Sampled { interval_ops, max_intervals, .. } = self.mode else {
             return None;
@@ -321,17 +358,23 @@ impl ExecKey {
     }
 }
 
-/// Simulates one prepared program: the one place that decides how a run
-/// goes, for the [`JobEngine`] and [`Experiment::run_program`] alike.
+/// Whether a run attaches the region partition:
 ///
 /// - A sampled run never carries regions: attribution needs every op
 ///   through the detailed pipeline.
-/// - An exact run attaches the region partition at `threshold` when
-///   `profiled`, and always on a machine with a controller attached: the
-///   controller's per-region decisions need region identities, so a
-///   controller run without them would be a different simulation. Callers
-///   drop the regions of runs that did not ask for them.
-/// - Any other exact run takes the plain [`NullProbe`] path.
+/// - An exact run attaches them when `profiled`, and always on a machine
+///   with a controller attached: the controller's per-region decisions
+///   need region identities, so a controller run without them would be a
+///   different simulation. Callers drop the regions of runs that did not
+///   ask for them.
+fn attaches_regions(machine: &MachineConfig, mode: SimMode, profiled: bool) -> bool {
+    !mode.is_sampled() && (profiled || machine.mem.controller.is_some())
+}
+
+/// Simulates one prepared program: the one place that decides how a run
+/// goes, for the [`JobEngine`] and [`Experiment::run_program`] alike. A run
+/// that [attaches regions](attaches_regions) cuts them at `threshold`; any
+/// other exact run takes the plain [`NullProbe`] path.
 ///
 /// [`NullProbe`]: selcache_mem::NullProbe
 ///
@@ -364,7 +407,7 @@ pub(crate) fn simulate_job(
             selection_key,
             executor,
         ),
-        SimMode::Exact if profiled || machine.mem.controller.is_some() => {
+        SimMode::Exact if attaches_regions(machine, mode, profiled) => {
             let map = region_partition(program, threshold);
             simulate(machine, assist, assist_enabled, program, Some(&map))
         }
@@ -433,15 +476,83 @@ impl ExecPlan {
             .collect();
         ExecPlan { unique, slot, identities, ids, prog_keys, prog_of }
     }
+
+    /// Groups the store-missing identities `needed` (indices into
+    /// `unique`) into the simulations that answer them, given the built
+    /// `programs` (indexed like `prog_keys`). Returns the simulations in
+    /// first-appearance order, and for each identity in `needed` the index
+    /// of its simulation.
+    ///
+    /// Each built program gets a canonical index: the first built program
+    /// of the same source with equal code (selective code with no marker
+    /// equals its optimized code). Identities whose
+    /// [executions](ExecKey::execution) are equal, and whose regions, when
+    /// attached, are cut at one threshold, share one simulation.
+    fn runs(
+        &self,
+        needed: &[usize],
+        programs: &[Option<Program>],
+        profiled: bool,
+    ) -> (Vec<Run>, Vec<usize>) {
+        let source = |p: usize| (self.prog_keys[p].benchmark, self.prog_keys[p].scale);
+        let canon: Vec<usize> = (0..self.prog_keys.len())
+            .map(|p| {
+                (0..p)
+                    .find(|&q| {
+                        programs[p].is_some()
+                            && source(q) == source(p)
+                            && programs[q] == programs[p]
+                    })
+                    .unwrap_or(p)
+            })
+            .collect();
+        let mut by_execution: HashMap<(Vec<u8>, Option<u64>), usize> = HashMap::new();
+        let mut runs: Vec<Run> = Vec::new();
+        let run_of = needed
+            .iter()
+            .map(|&k| {
+                let key = &self.unique[k];
+                let p = self.prog_of[k];
+                let program = programs[p].as_ref().expect("needed programs are built");
+                let execution = key.execution(&self.prog_keys[canon[p]], program.marker_count());
+                let threshold = attaches_regions(&key.machine, key.mode, profiled)
+                    .then(|| key.program.threshold().to_bits());
+                *by_execution.entry((execution.canonical_bytes(), threshold)).or_insert_with(|| {
+                    runs.push(Run {
+                        first: k,
+                        selection_key: execution.selection_key(),
+                        length: program.op_bound(),
+                    });
+                    runs.len() - 1
+                })
+            })
+            .collect();
+        (runs, run_of)
+    }
 }
 
-/// The order in which to start store-missing jobs, as indices into
-/// `keys`: each job's [`ExecKey::selection_key`]. A job's rank counts the
-/// earlier jobs that share its profile pass; exact jobs all rank 0. A
-/// stable sort by rank keeps submission order within a rank, so the first
-/// wave starts one profile pass per program, and each later job finds its
-/// selection cached instead of blocking on a sibling's pass.
-fn profile_pass_order(keys: &[Option<u128>]) -> Vec<usize> {
+/// One simulation of a job set.
+struct Run {
+    /// The first identity it answers, as an index into `ExecPlan::unique`;
+    /// the simulation runs with that identity's program and assist.
+    first: usize,
+    /// Its profile pass's key ([`ExecKey::selection_key`] of its
+    /// execution).
+    selection_key: Option<u128>,
+    /// Its program's [`Program::op_bound`].
+    length: u64,
+}
+
+/// The order in which to start a job set's simulations, as indices into
+/// `keys` (each simulation's [`ExecKey::selection_key`]) and `lengths`
+/// (its program's [`Program::op_bound`]). A simulation's rank counts the
+/// earlier ones that share its profile pass; exact runs all rank 0.
+/// Sorting by rank first starts one profile pass per program, so each
+/// later simulation finds its selection cached instead of blocking on a
+/// sibling's pass. Within a rank the longer programs start first, so a
+/// long simulation never starts last and runs on alone; a stable sort
+/// keeps submission order among equal lengths.
+fn profile_pass_order(keys: &[Option<u128>], lengths: &[u64]) -> Vec<usize> {
     let mut seen: HashMap<u128, usize> = HashMap::new();
     let rank: Vec<usize> = keys
         .iter()
@@ -455,7 +566,7 @@ fn profile_pass_order(keys: &[Option<u128>]) -> Vec<usize> {
         })
         .collect();
     let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by_key(|&i| rank[i]);
+    order.sort_by_key(|&i| (rank[i], Reverse(lengths[i])));
     order
 }
 
@@ -464,9 +575,15 @@ fn profile_pass_order(keys: &[Option<u128>]) -> Vec<usize> {
 pub struct EngineStats {
     /// Jobs submitted.
     pub submitted: usize,
-    /// Simulations actually executed (unique identities minus store hits —
-    /// a fully warm store runs zero).
+    /// Unique identities the store did not answer (all of them without a
+    /// store; a fully warm store has zero). Each gets its own result and
+    /// store entry; `executed - shared` simulations ran.
     pub executed: usize,
+    /// Of the `executed` identities, those answered by another identity's
+    /// simulation: equal code on the same machine and mode, with an assist
+    /// that cannot act differently (for instance a selective version with
+    /// no marker beside its optimized version).
+    pub shared: usize,
     /// Jobs answered from another job's execution in the same set.
     pub dedup_hits: usize,
     /// Distinct programs built and compiled.
@@ -596,8 +713,9 @@ impl JobEngine {
 
     /// Normalizes a job set without executing anything: the counters
     /// [`JobEngine::run_with_stats`] would report on a cold (or absent)
-    /// store — how many unique simulations and distinct prepared programs
-    /// the set needs. The store is not consulted.
+    /// store — how many unique identities and distinct prepared programs
+    /// the set needs. The store is not consulted and no program is built,
+    /// so `shared`, which compares built programs, reads 0.
     pub fn dry_run(&self, jobs: &[SimJob]) -> EngineStats {
         let plan = ExecPlan::of(jobs);
         EngineStats {
@@ -611,7 +729,8 @@ impl JobEngine {
     }
 
     fn execute(&self, jobs: &[SimJob], profiled: bool) -> (Vec<SimResult>, EngineStats) {
-        let ExecPlan { unique, slot, identities, ids, prog_keys, prog_of } = ExecPlan::of(jobs);
+        let plan = ExecPlan::of(jobs);
+        let ExecPlan { unique, slot, identities, ids, prog_keys, prog_of } = &plan;
 
         // Consult the store first, one lookup per identity on the executor:
         // a hit answers the identity without preparing or simulating
@@ -654,17 +773,18 @@ impl JobEngine {
             programs[p] = Some(program);
         }
 
-        // Execute each store-missing unique job once, in parallel, timing
-        // every simulation for the store's envelope metadata. Sampled jobs
-        // receive the engine's executor so their per-representative
-        // fan-out leases from the same budget as the job-level fan-out.
-        // The first wave starts one profile pass per program (see
-        // `profile_pass_order`); results land by identity, so the order
-        // never shows in the output.
-        let keys: Vec<Option<u128>> = needed.iter().map(|&k| unique[k].selection_key()).collect();
-        let order = profile_pass_order(&keys);
-        let simulated = self.executor.map(&order, |&i| {
-            let k = needed[i];
+        let (runs, run_of) = plan.runs(&needed, &programs, profiled);
+
+        // Run each simulation once, in parallel, timing it for the store's
+        // envelope metadata. Sampled jobs receive the engine's executor so
+        // their per-representative fan-out leases from the same budget as
+        // the job-level fan-out. Simulations start in `profile_pass_order`;
+        // results land by identity, so the order never shows in the output.
+        let keys: Vec<Option<u128>> = runs.iter().map(|run| run.selection_key).collect();
+        let lengths: Vec<u64> = runs.iter().map(|run| run.length).collect();
+        let order = profile_pass_order(&keys, &lengths);
+        let simulated = self.executor.map(&order, |&r| {
+            let Run { first: k, selection_key, .. } = runs[r];
             let key = &unique[k];
             let start = Instant::now();
             let result = simulate_job(
@@ -675,22 +795,28 @@ impl JobEngine {
                 key.mode,
                 profiled,
                 key.program.threshold(),
-                keys[i],
+                selection_key,
                 &self.executor,
             );
             (result, start.elapsed().as_secs_f64() * 1e3)
         });
+        let mut by_run: Vec<Option<(SimResult, f64)>> = runs.iter().map(|_| None).collect();
+        for (&r, simulation) in order.iter().zip(simulated) {
+            by_run[r] = Some(simulation);
+        }
 
-        // Publish fresh results to the store and fill the remaining slots.
+        // Publish every store-missing identity to the store under its own
+        // id, with its simulation's wall time, and fill the remaining slots.
         // A failed put (disk full, permissions) loses only persistence —
         // the in-memory result is still returned.
         let executed = needed.len();
         let mut bytes_written = 0u64;
         let mut per_unique = cached;
-        for (&i, (mut result, wall_ms)) in order.iter().zip(simulated) {
-            let k = needed[i];
+        for (&k, &r) in needed.iter().zip(&run_of) {
+            let (result, wall_ms) = by_run[r].as_ref().expect("every simulation ran");
+            let mut result = result.clone();
             if let Some(store) = &self.store {
-                if let Ok(bytes) = store.put(ids[k], &identities[k], &result, wall_ms) {
+                if let Ok(bytes) = store.put(ids[k], &identities[k], &result, *wall_ms) {
                     bytes_written += bytes;
                 }
             }
@@ -705,13 +831,14 @@ impl JobEngine {
         }
         let mut results: Vec<SimResult> =
             per_unique.into_iter().map(|r| r.expect("every identity answered")).collect();
-        for (result, &id) in results.iter_mut().zip(&ids) {
+        for (result, &id) in results.iter_mut().zip(ids) {
             result.job_id = Some(id);
         }
 
         let stats = EngineStats {
             submitted: jobs.len(),
             executed,
+            shared: executed - runs.len(),
             dedup_hits: jobs.len() - unique.len(),
             programs_prepared: to_build.len(),
             store_hits,
@@ -719,7 +846,7 @@ impl JobEngine {
             bytes_written,
             threads: self.threads(),
         };
-        (slot.into_iter().map(|k| results[k].clone()).collect(), stats)
+        (slot.iter().map(|&k| results[k].clone()).collect(), stats)
     }
 }
 
@@ -901,24 +1028,36 @@ mod tests {
         }
     }
 
-    /// Checks `profile_pass_order(keys)` against its definition: a
-    /// permutation of the jobs, ranks never decreasing, and submission
-    /// order within a rank (so exact jobs, all rank 0, keep theirs).
-    fn check_profile_pass_order(keys: &[Option<u128>]) -> Vec<usize> {
+    /// Checks `profile_pass_order(keys, lengths)` against its definition:
+    /// a permutation of the simulations, ranks never decreasing, longer
+    /// programs first within a rank, submission order among equal lengths,
+    /// and every simulation that shares a profile pass after that pass's
+    /// first simulation.
+    fn check_profile_pass_order(keys: &[Option<u128>], lengths: &[u64]) -> Vec<usize> {
+        let first = |i: usize| keys[..i].iter().position(|&k| k.is_some() && k == keys[i]);
         let rank: Vec<usize> = (0..keys.len())
             .map(|i| match keys[i] {
                 Some(key) => keys[..i].iter().filter(|&&k| k == Some(key)).count(),
                 None => 0,
             })
             .collect();
-        let order = profile_pass_order(keys);
+        let order = profile_pass_order(keys, lengths);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..keys.len()).collect::<Vec<_>>(), "a permutation");
         for w in order.windows(2) {
             assert!(rank[w[0]] <= rank[w[1]], "ranks never decrease: {order:?}");
             if rank[w[0]] == rank[w[1]] {
-                assert!(w[0] < w[1], "submission order within a rank: {order:?}");
+                assert!(lengths[w[0]] >= lengths[w[1]], "longest first in a rank: {order:?}");
+                if lengths[w[0]] == lengths[w[1]] {
+                    assert!(w[0] < w[1], "submission order among equals: {order:?}");
+                }
+            }
+        }
+        let position = |i: usize| order.iter().position(|&j| j == i).expect("permutation");
+        for i in 0..keys.len() {
+            if let Some(f) = first(i) {
+                assert!(position(f) < position(i), "{i} starts after its pass's first: {order:?}");
             }
         }
         order
@@ -929,51 +1068,78 @@ mod tests {
         // Pairs of sampled jobs on one program (keys 1..=3, as a suite's
         // Base/PureHardware pairs), a lone program, and exact jobs.
         let (a, b, c, d) = (Some(1), Some(2), Some(3), Some(4));
-        let order = check_profile_pass_order(&[a, a, None, b, b, c, None, c, a, d]);
+        let keys = [a, a, None, b, b, c, None, c, a, d];
+        let order = check_profile_pass_order(&keys, &[1; 10]);
         assert_eq!(order, [0, 2, 3, 5, 6, 9, 1, 4, 7, 8]);
-        // Exact jobs only, as in suite_exact and service_mixed: today's order.
-        assert_eq!(check_profile_pass_order(&[None; 5]), [0, 1, 2, 3, 4]);
-        // Sampled jobs on distinct programs keep their order too.
-        assert_eq!(check_profile_pass_order(&[d, c, b, a]), [0, 1, 2, 3]);
-        assert!(check_profile_pass_order(&[]).is_empty());
+        // Within a rank the longer programs start first; a job that shares
+        // a pass (1, 4, 7, 8) still waits for the pass's first job, even
+        // when it is longer than every first job, as job 1 is here.
+        let lengths = [1, 9, 5, 2, 8, 3, 7, 4, 6, 8];
+        let order = check_profile_pass_order(&keys, &lengths);
+        assert_eq!(order, [9, 6, 2, 5, 3, 0, 1, 4, 7, 8]);
+        // Exact jobs only, as in suite_exact and service_mixed: longest
+        // first, ties in submission order.
+        assert_eq!(check_profile_pass_order(&[None; 5], &[3, 7, 3, 9, 1]), [3, 1, 0, 2, 4]);
+        // Sampled jobs on distinct programs of equal length keep their order.
+        assert_eq!(check_profile_pass_order(&[d, c, b, a], &[5; 4]), [0, 1, 2, 3]);
+        assert!(check_profile_pass_order(&[], &[]).is_empty());
         // A long set with many ties, past the lengths a sort handles by
         // insertion: every fifth job exact, the rest on 13 programs.
         let keys: Vec<Option<u128>> =
             (0..300u128).map(|i| (i % 5 != 0).then_some(i * 7919 % 13)).collect();
-        check_profile_pass_order(&keys);
+        let lengths: Vec<u64> = (0..300u64).map(|i| i * 31 % 7).collect();
+        check_profile_pass_order(&keys, &lengths);
+    }
+
+    /// The simulations the engine would run for `jobs` on a cold store, in
+    /// the order it starts them, as the benchmark and version of each
+    /// simulation's first job (every job in `jobs` must be its own
+    /// identity).
+    fn start_order(jobs: &[SimJob]) -> Vec<(Benchmark, Version)> {
+        let plan = ExecPlan::of(jobs);
+        assert_eq!(plan.unique.len(), jobs.len(), "one identity per job");
+        let needed: Vec<usize> = (0..jobs.len()).collect();
+        let programs: Vec<Option<Program>> =
+            plan.prog_keys.iter().map(|p| Some(p.build())).collect();
+        let (runs, _) = plan.runs(&needed, &programs, false);
+        let keys: Vec<Option<u128>> = runs.iter().map(|run| run.selection_key).collect();
+        let lengths: Vec<u64> = runs.iter().map(|run| run.length).collect();
+        profile_pass_order(&keys, &lengths)
+            .into_iter()
+            .map(|r| (jobs[runs[r].first].benchmark, jobs[runs[r].first].version))
+            .collect()
     }
 
     #[test]
     fn sampled_jobs_start_in_profile_pass_order() {
-        // The perfbench/fig4 shape: Base/PureHardware and
-        // PureSoftware/Combined share a prepared program.
+        // The perfbench shape at Large: Base/PureHardware and
+        // PureSoftware/Combined share a prepared program, and Vpenta's
+        // Selective code, with no marker, equals its PureSoftware code.
         let jobs = SuiteResult::jobs_in_mode(
             &MachineConfig::base(),
             AssistKind::Bypass,
-            Scale::Tiny,
+            Scale::Large,
             &[Benchmark::Vpenta, Benchmark::Chaos],
             SimMode::sampled(),
         );
-        let keys: Vec<Option<u128>> = jobs.iter().map(|j| ExecKey::of(j).selection_key()).collect();
-        let versions: Vec<(Benchmark, Version)> = profile_pass_order(&keys)
-            .into_iter()
-            .map(|i| (jobs[i].benchmark, jobs[i].version))
-            .collect();
         use Benchmark::{Chaos, Vpenta};
         use Version::{Base, Combined, PureHardware, PureSoftware, Selective};
+        // One pass per program first, Chaos's longer programs before
+        // Vpenta's (optimized code runs more loop overhead than raw code,
+        // and selective code adds its markers); Vpenta's Selective job
+        // needs no simulation of its own.
         let expected = [
-            (Vpenta, Base),
-            (Vpenta, PureSoftware),
-            (Vpenta, Selective),
-            (Chaos, Base),
-            (Chaos, PureSoftware),
             (Chaos, Selective),
-            (Vpenta, PureHardware),
-            (Vpenta, Combined),
-            (Chaos, PureHardware),
+            (Chaos, PureSoftware),
+            (Chaos, Base),
+            (Vpenta, PureSoftware),
+            (Vpenta, Base),
             (Chaos, Combined),
+            (Chaos, PureHardware),
+            (Vpenta, Combined),
+            (Vpenta, PureHardware),
         ];
-        assert_eq!(versions, expected);
+        assert_eq!(start_order(&jobs), expected);
         // Exact jobs have no profile pass.
         assert_eq!(ExecKey::of(&jobs[0].clone().with_mode(SimMode::Exact)).selection_key(), None);
     }

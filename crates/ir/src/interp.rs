@@ -389,7 +389,7 @@ fn resolve_general(
             for s in subscripts {
                 let c = eval_subscript(program, amap, env, s, resolution);
                 if let Some((&extent, &stride)) = dims.next() {
-                    off += c.rem_euclid(extent) * stride;
+                    off += wrap(c, extent) * stride;
                 }
             }
             amap.array_base(*array).offset(off as u64 * decl.elem_size)
@@ -416,6 +416,17 @@ fn resolve_general(
             let field = (*field_offset).clamp(0, decl.elem_size.saturating_sub(1) as i64);
             amap.array_base(*array).offset(idx as u64 * decl.elem_size + field as u64)
         }
+    }
+}
+
+/// `c.rem_euclid(n)` without the division for a coordinate already in
+/// `[0, n)`, as nearly every coordinate of the benchmarks is.
+#[inline]
+fn wrap(c: i64, n: i64) -> i64 {
+    if (0..n).contains(&c) {
+        c
+    } else {
+        c.rem_euclid(n)
     }
 }
 
@@ -446,7 +457,7 @@ fn eval_subscript(
         Subscript::Indexed { index_array, index, offset } => {
             let decl = &program.arrays[index_array.index()];
             let data = decl.data.as_ref().expect("validated index data");
-            let pos = index.eval(env).rem_euclid(data.len().max(1) as i64);
+            let pos = wrap(index.eval(env), data.len().max(1) as i64);
             resolution.push(amap.array_base(*index_array).offset(pos as u64 * decl.elem_size));
             data[pos as usize] + offset
         }

@@ -211,7 +211,7 @@ impl Compiler<'_> {
                     pos += 1;
                 }
                 None => {
-                    let res_n = res_count(&r.pattern);
+                    let res_n = r.pattern.resolution_loads();
                     let pcs: Vec<u64> = (0..=res_n).map(|_| next_pc(&mut slot_ctr)).collect();
                     let g = self.general(r, pcs, 0);
                     ops.push(OpT::General(g));
@@ -238,7 +238,7 @@ impl Compiler<'_> {
                     pos += 1;
                 }
                 None => {
-                    let res_n = res_count(&r.pattern);
+                    let res_n = r.pattern.resolution_loads();
                     let pcs: Vec<u64> = (0..=res_n).map(|_| next_pc(&mut slot_ctr)).collect();
                     let g = self.general(r, pcs, dep(pos));
                     ops.push(OpT::General(g));
@@ -364,15 +364,4 @@ fn elem_strides(decl: &ArrayDecl) -> Vec<i64> {
         mult *= decl.dims[src];
     }
     strides
-}
-
-/// Number of resolution loads a pattern emits before its final access.
-fn res_count(pattern: &RefPattern) -> usize {
-    match pattern {
-        RefPattern::Scalar(_) | RefPattern::StructField { .. } => 0,
-        RefPattern::Array { subscripts, .. } => {
-            subscripts.iter().filter(|s| matches!(s, Subscript::Indexed { .. })).count()
-        }
-        RefPattern::Pointer { .. } => 1,
-    }
 }

@@ -159,6 +159,18 @@ impl RefPattern {
             RefPattern::StructField { array, .. } => Some(*array),
         }
     }
+
+    /// Number of resolution loads (index-array and next-table reads) the
+    /// interpreter emits before the reference's own access.
+    pub(crate) fn resolution_loads(&self) -> usize {
+        match self {
+            RefPattern::Scalar(_) | RefPattern::StructField { .. } => 0,
+            RefPattern::Array { subscripts, .. } => {
+                subscripts.iter().filter(|s| matches!(s, Subscript::Indexed { .. })).count()
+            }
+            RefPattern::Pointer { .. } => 1,
+        }
+    }
 }
 
 /// A memory reference: a pattern plus read/write direction.
@@ -530,6 +542,40 @@ impl Program {
         let mut n = 0;
         self.for_each_loop(|_| n += 1);
         n
+    }
+
+    /// An upper bound on the program's trace length ([`crate::trace_len`]),
+    /// read off the loop tree without interpreting anything: every loop
+    /// runs [`Trip::max`] iterations. Each statement emits its references,
+    /// their resolution loads and its ALU ops; each loop an index
+    /// initialization, then an increment and a branch per iteration (one
+    /// not-taken branch when it runs none); each marker one op.
+    pub fn op_bound(&self) -> u64 {
+        fn walk(items: &[Item]) -> u64 {
+            items
+                .iter()
+                .map(|item| match item {
+                    Item::Loop(l) => match u64::try_from(l.trip.max()) {
+                        Ok(trip) if trip > 0 => {
+                            trip.saturating_mul(walk(&l.body).saturating_add(2)).saturating_add(1)
+                        }
+                        _ => 2,
+                    },
+                    Item::Block(stmts) => stmts
+                        .iter()
+                        .map(|s| {
+                            let loads: usize =
+                                s.refs.iter().map(|r| r.pattern.resolution_loads()).sum();
+                            (s.refs.len() + loads) as u64
+                                + u64::from(s.int_ops)
+                                + u64::from(s.fp_ops)
+                        })
+                        .sum(),
+                    Item::Marker(_) => 1,
+                })
+                .fold(0, u64::saturating_add)
+        }
+        walk(&self.items)
     }
 
     /// Counts assist markers.

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use selcache_ir::Addr;
-use selcache_mem::{AssistKind, HierarchyConfig, MemoryHierarchy};
+use selcache_mem::{AssistKind, HierarchyConfig, HierarchyStatsProbe, MemoryHierarchy, Site};
 
 fn stream(seed: u64, len: usize, footprint: u64) -> Vec<(u64, bool)> {
     let mut state = seed | 1;
@@ -85,6 +85,43 @@ proptest! {
         let s = h.stats();
         prop_assert_eq!(s.l1d.hits + s.l1d.misses, s.l1d.accesses);
         prop_assert!(s.assist.assisted_accesses <= s.l1d.accesses);
+    }
+
+    /// A flag that stays off is no assist: over a whole random stream of
+    /// loads, stores and instruction fetches, a Bypass, Victim or Stream
+    /// hierarchy whose flag is off answers every access with the latency
+    /// of a hierarchy with no assist, and ends with equal counters and
+    /// equal event totals. The job engine simulates such a run once with
+    /// an assist-free one.
+    #[test]
+    fn assist_with_flag_off_is_no_assist(seed in any::<u64>(), assist in 0..3usize) {
+        let assist = [AssistKind::Bypass, AssistKind::Victim, AssistKind::Stream][assist];
+        let accesses = stream(seed, 6000, 1 << 22);
+        let run = |assist: AssistKind, enabled: bool| {
+            let mut h = MemoryHierarchy::new(HierarchyConfig::paper_base(assist));
+            h.set_assist_enabled(enabled);
+            let mut probe = HierarchyStatsProbe::new();
+            let mut now = 0u64;
+            let latencies: Vec<u64> = accesses
+                .iter()
+                .enumerate()
+                .map(|(k, &(a, w))| {
+                    now += 3;
+                    if k % 5 == 0 {
+                        // Instruction fetches over their own 256 KiB of text.
+                        let pc = 0x0040_0000 + a % (1 << 18);
+                        h.inst_fetch_probed(pc, now, Site::UNKNOWN, &mut probe)
+                    } else {
+                        h.data_access_probed(Addr(a), w, now, Site::UNKNOWN, &mut probe)
+                    }
+                })
+                .collect();
+            (latencies, h.stats(), probe.stats())
+        };
+        let (off, none) = (run(assist, false), run(AssistKind::None, true));
+        prop_assert_eq!(&off.0, &none.0, "per-access latencies");
+        prop_assert_eq!(off.1, none.1, "hierarchy counters");
+        prop_assert_eq!(off.2, none.2, "event totals");
     }
 
     /// Latencies are at least the L1 hit latency and bounded by a sane
