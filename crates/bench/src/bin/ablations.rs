@@ -1,8 +1,8 @@
 //! Ablation studies for the design choices called out in `DESIGN.md`:
 //! simulated-cycle impact of the out-of-order model, the region-detection
 //! threshold, the MAT geometry, redundant-marker elimination, and each
-//! compiler pass. The extension passes (fusion, distribution,
-//! unroll-and-jam) are measured by the `extensions` binary.
+//! compiler pass. The extension pass (loop fusion) is measured by the
+//! `extensions` binary.
 //!
 //! Each study submits its whole grid as one job set: the engine runs the
 //! cells in parallel and deduplicates shared runs (e.g. the threshold

@@ -3,8 +3,8 @@
 //! 1. A third hardware assist — Jouppi stream buffers (the "hardware
 //!    prefetching" entry of the paper's related-work list) — run through
 //!    the same four-version protocol as bypassing and victim caches.
-//! 2. The extension compiler passes (loop fusion, loop distribution,
-//!    unroll-and-jam) measured on top of the default pipeline.
+//! 2. The extension compiler pass (loop fusion) measured on top of the
+//!    default pipeline.
 //! 3. The online assist controller (`selcache-adapt`) swept over its
 //!    decision-interval length, against the static selective scheme.
 //!
@@ -137,19 +137,14 @@ fn assists_table(engine: &JobEngine, scale: Scale) {
 
 fn extension_passes(engine: &JobEngine, scale: Scale) {
     println!("== Extension: compiler passes beyond the paper's list ==");
-    println!(
-        "{:<12} {:>9} {:>9} {:>9} {:>12}",
-        "Benchmark", "default", "+fusion", "+unroll", "+distribute"
-    );
+    println!("{:<12} {:>9} {:>9}", "Benchmark", "default", "+fusion");
     let machine = MachineConfig::base();
     let benchmarks = [Benchmark::Vpenta, Benchmark::Swim, Benchmark::TpcDQ1, Benchmark::Chaos];
-    let configs =
-        [(false, false, false), (true, false, false), (false, true, false), (false, false, true)];
     let mut jobs = Vec::new();
     for &bm in &benchmarks {
         jobs.push(SimJob::new(bm, scale, machine.clone(), AssistKind::None, Version::Base));
-        for &(fusion, unroll_jam, distribute) in &configs {
-            let cfg = OptConfig { fusion, unroll_jam, distribute, ..OptConfig::default() };
+        for fusion in [false, true] {
+            let cfg = OptConfig { fusion, ..OptConfig::default() };
             jobs.push(
                 SimJob::new(bm, scale, machine.clone(), AssistKind::None, Version::PureSoftware)
                     .with_opt(cfg),
@@ -157,16 +152,13 @@ fn extension_passes(engine: &JobEngine, scale: Scale) {
         }
     }
     let results = engine.run(&jobs);
-    for (bm, chunk) in benchmarks.iter().zip(results.chunks_exact(1 + configs.len())) {
+    for (bm, chunk) in benchmarks.iter().zip(results.chunks_exact(3)) {
         let base = &chunk[0];
-        let cells: Vec<f64> = chunk[1..].iter().map(|r| r.improvement_over(base)).collect();
         println!(
-            "{:<12} {:>8.2}% {:>8.2}% {:>8.2}% {:>11.2}%",
+            "{:<12} {:>8.2}% {:>8.2}%",
             bm.name(),
-            cells[0],
-            cells[1],
-            cells[2],
-            cells[3]
+            chunk[1].improvement_over(base),
+            chunk[2].improvement_over(base)
         );
     }
 }

@@ -204,9 +204,10 @@ impl Cli {
                             subset.push(bm);
                         }
                     }
-                    if !subset.is_empty() {
-                        out.subset = Some(subset);
+                    if subset.is_empty() {
+                        return Err(CliError::MissingValue("--subset"));
                     }
+                    out.subset = Some(subset);
                 }
                 "--mode" => {
                     let v = args.next().ok_or(CliError::MissingValue("--mode"))?;
@@ -392,6 +393,10 @@ mod tests {
             Cli::parse(["--subset", "adi,nosuch"]),
             Err(CliError::UnknownBenchmark("nosuch".into()))
         );
+        // A subset naming no benchmark is refused, not read as the suite.
+        for empty in ["", " , ", ","] {
+            assert_eq!(Cli::parse(["--subset", empty]), Err(CliError::MissingValue("--subset")));
+        }
         assert_eq!(Cli::parse(["--format", "yaml"]), Err(CliError::InvalidFormat("yaml".into())));
         let msg = CliError::InvalidFormat("yaml".into()).to_string();
         assert!(msg.contains("text|json|csv"), "{msg}");

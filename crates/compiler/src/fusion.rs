@@ -112,8 +112,7 @@ fn dim_offset(vars: &[VarId], s1: &Subscript, s2: &Subscript) -> Option<Vec<Opti
 
 /// True if every dependence from a ref of nest 1 to a ref of nest 2 flows
 /// forward after fusion (`i1 <= i2` provable, or provably no overlap).
-/// Shared with loop distribution, whose legality condition is identical.
-pub(crate) fn pair_fusable(vars: &[VarId], r1: &Ref, r2: &Ref) -> bool {
+fn pair_fusable(vars: &[VarId], r1: &Ref, r2: &Ref) -> bool {
     if !r1.write && !r2.write {
         return true;
     }

@@ -9,42 +9,31 @@
 
 use selcache_ir::{AddressMap, Program};
 
-/// Padding parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PaddingConfig {
-    /// The cache index span to stagger across: `sets * block_size` of the
-    /// target cache (8 KiB for the paper's L1).
-    pub set_span: u64,
-    /// Stagger step between consecutive arrays, in bytes. Should be a
-    /// multiple of [`AddressMap::ALIGN`] and ideally coprime (in units of
-    /// ALIGN) with `set_span / ALIGN` so that many arrays spread evenly.
-    pub stagger: u64,
-}
+/// The cache index span bases are staggered across: `sets * block_size`
+/// of the base machine's L1 (32 KiB, 4-way, 32-byte lines).
+pub const SET_SPAN: u64 = 8 * 1024;
 
-impl Default for PaddingConfig {
-    fn default() -> Self {
-        // 8 KiB L1 index span; 1280 = 5 * 256 steps cover all 32 residues.
-        PaddingConfig { set_span: 8 * 1024, stagger: 1280 }
-    }
-}
+/// Stagger step between consecutive arrays, in bytes: a multiple of
+/// [`AddressMap::ALIGN`] whose 5 × 256 steps cover all 32 `ALIGN`
+/// residues of [`SET_SPAN`], so many arrays spread evenly.
+pub const STAGGER: u64 = 1280;
 
 /// Pads the program's arrays so the k-th array's base address lands at
-/// residue `k * stagger (mod set_span)`. Returns the number of arrays that
+/// residue `k * STAGGER (mod SET_SPAN)`. Returns the number of arrays that
 /// received padding. Padding never changes program semantics — only the
 /// address map.
-pub fn pad_arrays(program: &mut Program, cfg: &PaddingConfig) -> usize {
+pub fn pad_arrays(program: &mut Program) -> usize {
     let align = AddressMap::ALIGN;
-    let span = cfg.set_span.max(align);
     let mut padded = 0;
     let mut cursor = AddressMap::BASE;
     let n = program.arrays.len();
     for idx in 0..n {
         // Desired residue of *this* array's base.
-        let desired = (idx as u64 * cfg.stagger) % span;
-        let have = cursor % span;
+        let desired = (idx as u64 * STAGGER) % SET_SPAN;
+        let have = cursor % SET_SPAN;
         if have != desired && idx > 0 {
             // Grow the previous array's padding to push this base forward.
-            let shift = (desired + span - have) % span;
+            let shift = (desired + SET_SPAN - have) % SET_SPAN;
             program.arrays[idx - 1].pad_bytes += shift;
             cursor += shift;
             padded += 1;
@@ -87,7 +76,7 @@ mod tests {
     #[test]
     fn padding_staggers_bases() {
         let mut p = eight_same_sized();
-        let n = pad_arrays(&mut p, &PaddingConfig::default());
+        let n = pad_arrays(&mut p);
         assert!(n >= 7, "most arrays padded, got {n}");
         let m = p.address_map();
         let residues: std::collections::HashSet<u64> =
@@ -102,9 +91,9 @@ mod tests {
     #[test]
     fn padding_is_idempotent() {
         let mut p = eight_same_sized();
-        pad_arrays(&mut p, &PaddingConfig::default());
+        pad_arrays(&mut p);
         let once = p.clone();
-        let n = pad_arrays(&mut p, &PaddingConfig::default());
+        let n = pad_arrays(&mut p);
         assert_eq!(n, 0);
         assert_eq!(p, once);
     }
@@ -114,7 +103,7 @@ mod tests {
         use selcache_ir::trace_len;
         let mut p = eight_same_sized();
         let before = trace_len(&p);
-        pad_arrays(&mut p, &PaddingConfig::default());
+        pad_arrays(&mut p);
         assert!(p.validate().is_ok());
         assert_eq!(trace_len(&p), before);
     }

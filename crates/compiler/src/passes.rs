@@ -4,11 +4,11 @@
 use crate::classify::Preference;
 use crate::interchange::interchange_nest;
 use crate::layout::select_layouts;
-use crate::padding::{pad_arrays, PaddingConfig};
+use crate::padding::pad_arrays;
 use crate::redundant::eliminate_redundant_markers;
 use crate::region::{analyze_loop, detect_and_mark, AssistPolicy, RegionClass};
 use crate::scalar::scalar_replace;
-use crate::tiling::{tile_nest, IdAlloc, TilingConfig};
+use crate::tiling::{tile_nest, IdAlloc};
 use selcache_ir::{ArrayDecl, Item, Loop, Program};
 
 /// Configuration of the locality-optimizing compiler.
@@ -19,10 +19,9 @@ pub struct OptConfig {
     pub threshold: f64,
     /// L1 block size used by the reuse cost model.
     pub block_bytes: u64,
-    /// Tiling parameters.
-    pub tiling: TilingConfig,
-    /// Array-padding parameters.
-    pub padding: PaddingConfig,
+    /// Cache capacity that a nest's footprint must exceed for tiling to
+    /// pay (the target's L1 data cache).
+    pub cache_bytes: u64,
     /// Enable loop interchange.
     pub interchange: bool,
     /// Enable iteration-space tiling.
@@ -36,15 +35,6 @@ pub struct OptConfig {
     /// Enable loop fusion of adjacent compatible nests (extension; off by
     /// default to match the paper's pass list).
     pub fusion: bool,
-    /// Enable loop distribution of multi-statement nests (extension; off by
-    /// default).
-    pub distribute: bool,
-    /// Enable unroll-and-jam (the paper's §3.2 register step; off by
-    /// default here because scalar replacement already captures most of the
-    /// register reuse — measured in the ablations).
-    pub unroll_jam: bool,
-    /// Unroll-and-jam parameters.
-    pub unroll: crate::unroll::UnrollConfig,
 }
 
 impl Default for OptConfig {
@@ -52,17 +42,13 @@ impl Default for OptConfig {
         OptConfig {
             threshold: 0.5,
             block_bytes: 32,
-            tiling: TilingConfig::default(),
-            padding: PaddingConfig::default(),
+            cache_bytes: 32 * 1024,
             interchange: true,
             tile: true,
             layout: true,
             scalar_replacement: true,
             pad: true,
             fusion: false,
-            distribute: false,
-            unroll_jam: false,
-            unroll: crate::unroll::UnrollConfig::default(),
         }
     }
 }
@@ -134,13 +120,10 @@ pub fn apply_to_software_loops(
 pub fn optimize(program: &Program, cfg: &OptConfig) -> Program {
     let mut p = program.clone();
     if cfg.pad {
-        pad_arrays(&mut p, &cfg.padding);
+        pad_arrays(&mut p);
     }
     if cfg.fusion {
         crate::fusion::fuse_loops(&mut p, cfg.threshold);
-    }
-    if cfg.distribute {
-        crate::distribution::distribute_loops(&mut p, cfg.threshold);
     }
     if cfg.interchange {
         apply_to_software_loops(&mut p, cfg.threshold, &mut |arrays, _ids, l| {
@@ -156,15 +139,8 @@ pub fn optimize(program: &Program, cfg: &OptConfig) -> Program {
         }
     }
     if cfg.tile {
-        let tcfg = cfg.tiling;
         apply_to_software_loops(&mut p, cfg.threshold, &mut |arrays, ids, l| {
-            tile_nest(ids, arrays, l, &tcfg)
-        });
-    }
-    if cfg.unroll_jam {
-        let ucfg = cfg.unroll;
-        apply_to_software_loops(&mut p, cfg.threshold, &mut |_arrays, _ids, l| {
-            crate::unroll::unroll_and_jam(l, &ucfg)
+            tile_nest(ids, arrays, l, cfg.cache_bytes)
         });
     }
     if cfg.scalar_replacement {

@@ -33,22 +33,11 @@ impl IdAlloc<'_> {
     }
 }
 
-/// Tiling parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TilingConfig {
-    /// Tile size in iterations.
-    pub tile: i64,
-    /// Cache capacity that the nest footprint must exceed for tiling to pay.
-    pub cache_bytes: u64,
-    /// Only loops with at least `min_trip` iterations are tiled.
-    pub min_trip: i64,
-}
+/// Tile size in iterations.
+pub const TILE_SIZE: i64 = 32;
 
-impl Default for TilingConfig {
-    fn default() -> Self {
-        TilingConfig { tile: 32, cache_bytes: 32 * 1024, min_trip: 64 }
-    }
-}
+/// Only loops with at least this many iterations are tiled.
+pub const MIN_TRIP: i64 = 64;
 
 fn substitute_stmt(stmt: &Stmt, v: VarId, repl: &AffineExpr) -> Stmt {
     let mut s = stmt.clone();
@@ -86,15 +75,16 @@ fn substitute_items(items: &[Item], v: VarId, repl: &AffineExpr) -> Vec<Item> {
         .collect()
 }
 
-/// Attempts to tile the perfect nest rooted at `l`. Returns the transformed
-/// loop, or `None` when tiling does not apply (imperfect or shallow nest,
-/// dynamic trips, no outer reuse, footprint fits in cache, dependences
-/// prevent it, or no loop is long enough to tile).
+/// Attempts to tile the perfect nest rooted at `l` for a cache of
+/// `cache_bytes`. Returns the transformed loop, or `None` when tiling does
+/// not apply (imperfect or shallow nest, dynamic trips, no outer reuse,
+/// footprint fits in cache, dependences prevent it, or no loop is long
+/// enough to tile).
 pub fn tile_nest(
     ids: &mut IdAlloc<'_>,
     arrays: &[ArrayDecl],
     l: &Loop,
-    cfg: &TilingConfig,
+    cache_bytes: u64,
 ) -> Option<Loop> {
     let nest = PerfectNest::extract(l);
     if nest.levels.len() < 2 || !nest.is_flat() || !nest.all_const_trips() {
@@ -104,7 +94,7 @@ pub fn tile_nest(
     if !has_outer_temporal_reuse(arrays, &nest.vars(), &stmts) {
         return None;
     }
-    if nest_footprint(arrays, &stmts) <= cfg.cache_bytes {
+    if nest_footprint(arrays, &stmts) <= cache_bytes {
         return None;
     }
     let deps = nest_dependences(&nest.vars(), &stmts);
@@ -121,21 +111,21 @@ pub fn tile_nest(
             Trip::Const(n) => n,
             Trip::TileTail { .. } => unreachable!("checked all_const_trips"),
         };
-        if n >= cfg.min_trip {
+        if n >= MIN_TRIP {
             let u = ids.fresh_var();
             let cid = ids.fresh_loop();
             controllers.push(NestLevel {
                 id: cid,
                 var: u,
-                trip: Trip::Const((n + cfg.tile - 1) / cfg.tile),
+                trip: Trip::Const((n + TILE_SIZE - 1) / TILE_SIZE),
             });
             inner.push(NestLevel {
                 id: lv.id,
                 var: lv.var,
-                trip: Trip::TileTail { total: n, tile: cfg.tile, outer: u },
+                trip: Trip::TileTail { total: n, tile: TILE_SIZE, outer: u },
             });
             // v := tile*u + v
-            let repl = AffineExpr::from_terms([(u, cfg.tile), (lv.var, 1)], 0);
+            let repl = AffineExpr::from_terms([(u, TILE_SIZE), (lv.var, 1)], 0);
             body = substitute_items(&body, lv.var, &repl);
         } else {
             inner.push(*lv);
@@ -170,7 +160,7 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn tile(p: &mut Program, cfg: &TilingConfig) -> Option<Loop> {
+    fn tile(p: &mut Program, cache_bytes: u64) -> Option<Loop> {
         let l = match &p.items[0] {
             Item::Loop(l) => l.clone(),
             _ => panic!("expected loop"),
@@ -179,7 +169,7 @@ mod tests {
         let mut nl = p.num_loops;
         let out = {
             let mut ids = IdAlloc { num_vars: &mut nv, num_loops: &mut nl };
-            tile_nest(&mut ids, &p.arrays, &l, cfg)
+            tile_nest(&mut ids, &p.arrays, &l, cache_bytes)
         };
         p.num_vars = nv;
         p.num_loops = nl;
@@ -190,8 +180,7 @@ mod tests {
     fn tiling_preserves_iteration_count_and_addresses() {
         let mut p = big_nest(100);
         let base_ops: Vec<_> = Interp::new(&p).filter_map(|o| o.kind.addr()).collect();
-        let cfg = TilingConfig { tile: 16, cache_bytes: 1024, min_trip: 32 };
-        let tiled = tile(&mut p, &cfg).expect("tiles");
+        let tiled = tile(&mut p, 1024).expect("tiles");
         p.items[0] = Item::Loop(tiled);
         assert!(p.validate().is_ok());
         let mut tiled_addrs: Vec<_> = Interp::new(&p).filter_map(|o| o.kind.addr()).collect();
@@ -212,8 +201,7 @@ mod tests {
             })
             .take(200)
             .collect();
-        let cfg = TilingConfig { tile: 16, cache_bytes: 1024, min_trip: 32 };
-        let tiled = tile(&mut p, &cfg).expect("tiles");
+        let tiled = tile(&mut p, 1024).expect("tiles");
         p.items[0] = Item::Loop(tiled);
         let after: Vec<_> = Interp::new(&p)
             .filter_map(|o| match o.kind {
@@ -228,15 +216,14 @@ mod tests {
     #[test]
     fn small_footprint_not_tiled() {
         let mut p = big_nest(100);
-        let cfg = TilingConfig { tile: 16, cache_bytes: 1 << 30, min_trip: 32 };
-        assert!(tile(&mut p, &cfg).is_none());
+        assert!(tile(&mut p, 1 << 30).is_none());
     }
 
     #[test]
     fn short_loops_not_tiled() {
-        let mut p = big_nest(100);
-        let cfg = TilingConfig { tile: 16, cache_bytes: 1024, min_trip: 512 };
-        assert!(tile(&mut p, &cfg).is_none());
+        // Footprint and reuse call for tiling, but no loop reaches MIN_TRIP.
+        let mut p = big_nest(MIN_TRIP - 1);
+        assert!(tile(&mut p, 1024).is_none());
     }
 
     #[test]
@@ -249,15 +236,13 @@ mod tests {
             });
         });
         let mut p = b.finish().unwrap();
-        let cfg = TilingConfig::default();
-        assert!(tile(&mut p, &cfg).is_none());
+        assert!(tile(&mut p, 32 * 1024).is_none());
     }
 
     #[test]
     fn tile_structure_has_controllers() {
         let mut p = big_nest(128);
-        let cfg = TilingConfig { tile: 32, cache_bytes: 1024, min_trip: 64 };
-        let tiled = tile(&mut p, &cfg).expect("tiles");
+        let tiled = tile(&mut p, 1024).expect("tiles");
         let nest = PerfectNest::extract(&tiled);
         assert_eq!(nest.levels.len(), 4); // 2 controllers + 2 tile loops
         assert!(matches!(nest.levels[0].trip, Trip::Const(4)));
@@ -266,10 +251,9 @@ mod tests {
 
     #[test]
     fn non_divisible_extent_keeps_total_trips() {
-        // 100 iterations, tile 16 -> 7 tiles, last of 4.
+        // 100 iterations, tile 32 -> 4 tiles, last of 4.
         let mut p = big_nest(100);
-        let cfg = TilingConfig { tile: 16, cache_bytes: 1024, min_trip: 32 };
-        let tiled = tile(&mut p, &cfg).expect("tiles");
+        let tiled = tile(&mut p, 1024).expect("tiles");
         p.items[0] = Item::Loop(tiled);
         // fp ops count = iterations * 2.
         let fp = Interp::new(&p).filter(|o| o.kind == OpKind::FpAlu).count();

@@ -24,7 +24,7 @@
 //! constant byte the field's one remaining value wrote, so ids (and every
 //! stored result keyed by them) stay stable without a schema bump.
 
-use selcache_compiler::OptConfig;
+use selcache_compiler::{padding, tiling, OptConfig};
 use selcache_cpu::{CpuConfig, CpuModel};
 use selcache_mem::{
     AssistKind, BypassConfig, CacheConfig, ControllerConfig, HierarchyConfig, StreamConfig,
@@ -392,22 +392,26 @@ impl Canon for OptConfig {
     fn canon(&self, w: &mut CanonWriter) {
         w.f64(self.threshold);
         w.u64(self.block_bytes);
-        w.i64(self.tiling.tile);
-        w.u64(self.tiling.cache_bytes);
-        w.i64(self.tiling.min_trip);
-        w.u64(self.padding.set_span);
-        w.u64(self.padding.stagger);
+        // Tile size, minimum tiled trip, padding span and stagger were
+        // fields; their slots now hold the constants that replaced them.
+        w.i64(tiling::TILE_SIZE);
+        w.u64(self.cache_bytes);
+        w.i64(tiling::MIN_TRIP);
+        w.u64(padding::SET_SPAN);
+        w.u64(padding::STAGGER);
         w.bool(self.interchange);
         w.bool(self.tile);
         w.bool(self.layout);
         w.bool(self.scalar_replacement);
         w.bool(self.pad);
         w.bool(self.fusion);
-        w.bool(self.distribute);
-        w.bool(self.unroll_jam);
-        w.i64(self.unroll.factor);
-        w.i64(self.unroll.min_trip);
-        w.usize(self.unroll.max_body_stmts);
+        // Retired loop-distribution and unroll-and-jam passes: the flags'
+        // `false` and the unroll factor, minimum trip and body bound.
+        w.bool(false);
+        w.bool(false);
+        w.i64(4);
+        w.i64(16);
+        w.usize(16);
     }
 }
 

@@ -101,9 +101,11 @@ impl SimResult {
 /// The compiler configuration an experiment derives from its machine: the
 /// locality passes target the L1 data cache's block size and capacity.
 pub(crate) fn default_opt(machine: &MachineConfig) -> OptConfig {
-    let mut opt = OptConfig { block_bytes: machine.mem.l1d.block_size, ..OptConfig::default() };
-    opt.tiling.cache_bytes = machine.mem.l1d.size;
-    opt
+    OptConfig {
+        block_bytes: machine.mem.l1d.block_size,
+        cache_bytes: machine.mem.l1d.size,
+        ..OptConfig::default()
+    }
 }
 
 /// A fresh memory hierarchy for one run: `machine`'s memory system with

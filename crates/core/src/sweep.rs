@@ -47,7 +47,7 @@ use crate::runner::{default_opt, Version};
 use selcache_analysis::{CacheModel, ReuseProfiler, ReuseSpectrum};
 use selcache_compiler::optimize;
 use selcache_ir::{Interp, Plan};
-use selcache_mem::AssistKind;
+use selcache_mem::{AssistKind, CacheConfig};
 use selcache_workloads::{Benchmark, Scale};
 use std::fmt;
 use std::fmt::Write as _;
@@ -151,8 +151,8 @@ pub enum SweepError {
     UnsupportedAnalyticalAxis(&'static str),
     /// `check_fraction` was outside `[0, 1]` or not finite.
     InvalidCheckFraction(f64),
-    /// A grid point's L1 geometry is infeasible
-    /// (`assoc × line` must divide `size`).
+    /// A grid point's L1 or L2 geometry is infeasible
+    /// ([`CacheConfig::whole_sets`]: `assoc × line` must divide `size`).
     InfeasiblePoint {
         /// The point's coordinates, in axis order.
         values: Vec<u64>,
@@ -174,7 +174,7 @@ impl fmt::Display for SweepError {
                 write!(f, "check fraction {v} is outside [0, 1]")
             }
             SweepError::InfeasiblePoint { values } => {
-                write!(f, "grid point {values:?} has infeasible L1 geometry")
+                write!(f, "grid point {values:?} has infeasible cache geometry")
             }
         }
     }
@@ -364,11 +364,11 @@ impl SweepSpec {
                     return Err(SweepError::UnsupportedAnalyticalAxis(axis.name()));
                 }
             }
-            for values in self.grid() {
-                let (size, assoc, line) = self.l1_geometry(&values);
-                if size % (assoc * line) != 0 {
-                    return Err(SweepError::InfeasiblePoint { values });
-                }
+        }
+        for values in self.grid() {
+            let mem = self.machine_at(&values).mem;
+            if ![mem.l1d, mem.l1i, mem.l2].iter().all(CacheConfig::whole_sets) {
+                return Err(SweepError::InfeasiblePoint { values });
             }
         }
         Ok(())
@@ -781,12 +781,21 @@ mod tests {
             .axis(SweepAxis::L1Size, [8192]);
         assert_eq!(bad_fraction.run(), Err(SweepError::InvalidCheckFraction(1.5)));
 
-        // 8 KiB with 4-way x 4 KiB lines does not divide.
+        // 8 KiB with 3-way x 32 B lines does not divide.
         let infeasible = SweepSpec::new(Benchmark::Adi)
             .mode(SweepMode::Analytical { check_fraction: 0.0 })
             .axis(SweepAxis::L1Size, [8192])
             .axis(SweepAxis::L1Assoc, [3]);
         assert!(matches!(infeasible.run(), Err(SweepError::InfeasiblePoint { .. })));
+
+        // Exact mode checks the same geometry: a 1000 B 4-way L1 would run
+        // as 896 B, and a 3-way 512 KiB L2 as 4095 lines.
+        let exact_l1 = SweepSpec::new(Benchmark::Adi).axis(SweepAxis::L1Size, [1000]);
+        assert_eq!(exact_l1.run(), Err(SweepError::InfeasiblePoint { values: vec![1000] }));
+        let exact_l2 = SweepSpec::new(Benchmark::Adi)
+            .axis(SweepAxis::MemLatency, [100])
+            .axis(SweepAxis::L2Assoc, [4, 3]);
+        assert_eq!(exact_l2.run(), Err(SweepError::InfeasiblePoint { values: vec![100, 3] }));
     }
 
     #[test]

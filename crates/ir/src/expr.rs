@@ -106,11 +106,6 @@ impl AffineExpr {
         &self.terms
     }
 
-    /// True if the expression references `v`.
-    pub fn uses(&self, v: VarId) -> bool {
-        self.coeff(v) != 0
-    }
-
     /// Evaluates under an environment mapping `VarId(k)` to `env[k]`.
     ///
     /// Variables beyond `env.len()` evaluate to 0 (they are out of scope).
@@ -247,16 +242,6 @@ impl Subscript {
         }
     }
 
-    /// True if the subscript mentions variable `v`.
-    pub fn uses(&self, v: VarId) -> bool {
-        match self {
-            Subscript::Affine(e) => e.uses(v),
-            Subscript::Product(a, b) | Subscript::Quotient(a, b) => *a == v || *b == v,
-            Subscript::Square(a) | Subscript::Modulo(a, _) => *a == v,
-            Subscript::Indexed { index, .. } => index.uses(v),
-        }
-    }
-
     /// Renames induction variable `from` to `to`.
     #[must_use]
     pub fn rename(&self, from: VarId, to: VarId) -> Self {
@@ -378,15 +363,6 @@ mod tests {
             offset: 2
         }
         .is_affine());
-    }
-
-    #[test]
-    fn subscript_uses() {
-        assert!(Subscript::Square(v(2)).uses(v(2)));
-        assert!(!Subscript::Square(v(2)).uses(v(1)));
-        let idx =
-            Subscript::Indexed { index_array: ArrayId(0), index: AffineExpr::var(v(3)), offset: 0 };
-        assert!(idx.uses(v(3)));
     }
 
     #[test]

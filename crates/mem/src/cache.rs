@@ -31,6 +31,14 @@ impl CacheConfig {
     pub fn num_lines(&self) -> u64 {
         (self.size / self.block_size).max(1)
     }
+
+    /// Whether `size` is a whole, positive number of sets of
+    /// `assoc × block_size` bytes: the only sizes a [`Cache`] models
+    /// without running a different capacity.
+    pub fn whole_sets(&self) -> bool {
+        let set_bytes = (self.assoc as u64).checked_mul(self.block_size);
+        set_bytes.is_some_and(|b| self.size > 0 && self.size.is_multiple_of(b))
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -117,6 +125,12 @@ pub struct Cache {
 
 impl Cache {
     /// Creates a cache without miss classification (fastest).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the geometry, unless the block size is a power of
+    /// two and the size is a whole number of sets
+    /// ([`CacheConfig::whole_sets`]).
     pub fn new(cfg: CacheConfig) -> Self {
         Self::build(cfg, false)
     }
@@ -125,8 +139,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the cache has 2^31 lines or more: its per-block slots
-    /// hold shadow node indices below that.
+    /// As [`Cache::new`], and if the cache has 2^31 lines or more: its
+    /// per-block slots hold shadow node indices below that.
     pub fn with_classification(cfg: CacheConfig) -> Self {
         Self::build(cfg, true)
     }
@@ -134,6 +148,13 @@ impl Cache {
     fn build(cfg: CacheConfig, classify: bool) -> Self {
         assert!(cfg.block_size.is_power_of_two(), "block size must be a power of two");
         assert!(cfg.assoc > 0, "associativity must be positive");
+        assert!(
+            cfg.whole_sets(),
+            "cache of {} B, {}-way, {} B lines: size must be a positive multiple of assoc × block size",
+            cfg.size,
+            cfg.assoc,
+            cfg.block_size
+        );
         let sets = cfg.num_sets();
         Cache {
             cfg,
@@ -666,6 +687,20 @@ mod tests {
         // at quota 1 must evict it (not the untouched way).
         let e = c.fill_partitioned(2, false, true, 1).unwrap();
         assert_eq!((e.block, e.dirty), (0, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache of 1000 B, 4-way, 32 B lines")]
+    fn partial_set_size_is_rejected() {
+        // Would run as 7 sets (896 B) beside a 31-line shadow.
+        Cache::with_classification(CacheConfig { size: 1000, assoc: 4, block_size: 32 });
+    }
+
+    #[test]
+    #[should_panic(expected = "cache of 64 B, 4-way, 32 B lines")]
+    fn size_below_one_set_is_rejected() {
+        // Would run as one 4-way set: 128 B.
+        Cache::new(CacheConfig { size: 64, assoc: 4, block_size: 32 });
     }
 
     #[test]

@@ -152,7 +152,9 @@ impl MemoryHierarchy {
     /// # Panics
     ///
     /// Panics, naming the field, if `bus_bytes` is zero: every block
-    /// transfer over the memory bus divides by it.
+    /// transfer over the memory bus divides by it. Panics, naming the
+    /// geometry, if a cache's size is not a whole number of sets (see
+    /// [`Cache::new`]).
     pub fn new(cfg: HierarchyConfig) -> Self {
         assert!(cfg.bus_bytes > 0, "HierarchyConfig::bus_bytes must be at least 1");
         // A controller arbitrates between bypassing and victim caching at

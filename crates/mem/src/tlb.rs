@@ -42,7 +42,8 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if the page size is not a power of two or entries is zero.
+    /// Panics if the page size is not a power of two, entries is zero, or
+    /// entries is not a multiple of the associativity.
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.entries > 0, "TLB must have entries");
         let cache_cfg = CacheConfig {
